@@ -9,9 +9,8 @@ package makes that shape *data*:
 * :mod:`repro.campaign.registry` -- name registries for protocols,
   channels, adversaries and metric extractors (completeness-guarded);
 * :mod:`repro.campaign.compiler` -- spec -> seed-sharded runtime
-  tasks, with ``derive_seed`` per cell and campaign-salted cache keys;
-* :mod:`repro.campaign.cells` -- worker-side execution of one cell
-  through the engine tiers;
+  tasks, with ``derive_seed`` per cell;
+* :mod:`repro.campaign.cells` -- worker-side execution of one cell;
 * :mod:`repro.campaign.merge` / :mod:`repro.campaign.engine` -- cell
   payloads -> :class:`~repro.experiments.base.ExperimentResult`, and
   the one-call :func:`run_campaign`;
@@ -20,8 +19,8 @@ package makes that shape *data*:
 
 This ``__init__`` re-exports the data model eagerly (leaf imports
 only) and the heavier entry points lazily via module ``__getattr__``,
-so ``import repro.campaign`` inside a worker or the cache layer does
-not drag the experiment modules in.
+so ``import repro.campaign`` inside a worker does not drag the
+experiment modules in.
 """
 
 from __future__ import annotations
@@ -38,10 +37,8 @@ from repro.campaign.spec import (
     CellGroup,
     SpecError,
 )
-from repro.campaign.version import CAMPAIGN_VERSION
 
 __all__ = [
-    "CAMPAIGN_VERSION",
     "CELL_ADVERSARY",
     "CELL_DELIVERY",
     "CELL_EXPERIMENT",

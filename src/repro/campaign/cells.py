@@ -14,24 +14,22 @@ metric list), runs the named scenario, and returns a JSON-able payload
 Four cell kinds:
 
 * ``delivery`` -- :func:`repro.core.theorem51.run_probabilistic_delivery`
-  over the probabilistic channel pair, through the trial-engine tiers
-  (vector -> batch -> interpreted) with the established
-  strict-gate/auto-fallback discipline
+  over the probabilistic channel pair, on the batch trial engine when
+  its gate accepts and the interpreted reference otherwise
   (:func:`repro.experiments.base.resolve_trial_engine`);
 * ``adversary`` -- a :class:`~repro.datalink.system.DataLinkSystem`
   run with registry-built channels and adversary, in ``COUNTS`` trace
   mode (the fast-path kernel: counters, no event materialisation);
 * ``exploration`` -- :func:`repro.ioa.exploration.explore_station_states`
-  through the frontier-BFS tiers
-  (:func:`repro.experiments.base.explore_engine` /
-  :func:`~repro.experiments.base.explore_workers`);
+  on :func:`~repro.experiments.base.explore_workers` shards;
 * ``backlog`` -- Theorem 4.1 backlog planting
   (:func:`repro.core.theorem41.probe_backlog_cost`, or the full
   dichotomy via :func:`repro.core.theorem41.run_dichotomy` when the
-  cell sets ``dichotomy``), through the *pumping* engine tiers
-  (:mod:`repro.core.vecpump` -> batch -> interpreted) under the same
-  strict-gate/auto-fallback discipline, resolved against the pumping
-  gate per protocol.
+  cell sets ``dichotomy``), on the batch pumping engine under the same
+  resolution.
+
+Delivery and backlog cells record the tier that ran (and, when
+``auto`` fell back, the gate's refusal) in their telemetry.
 
 Determinism: everything random flows from the cell's task seed (already
 derived per shard via :func:`repro.runtime.seeds.derive_seed`); engine
@@ -56,7 +54,7 @@ def _delivery_observations(
     params: Dict[str, Any], fast: bool, seed: int, engine: str
 ) -> Dict[str, Any]:
     from repro.core.theorem51 import run_probabilistic_delivery
-    from repro.experiments.base import resolve_trial_engine
+    from repro.experiments.base import engine_metrics, resolve_trial_engine
     from repro.campaign import registry
 
     scenario, dotted = split_cell_params(params["config"])
@@ -65,7 +63,7 @@ def _delivery_observations(
     )
     q = float(scenario["q"])
     n = int(scenario["n"])
-    resolved = resolve_trial_engine(engine, pair_factory=factory)
+    tier, refusal = resolve_trial_engine(engine)
     run = run_probabilistic_delivery(
         factory,
         q=q,
@@ -73,7 +71,7 @@ def _delivery_observations(
         seed=seed,
         max_steps=int(scenario.get("max_steps", 2_000_000)),
         packet_budget=scenario.get("packet_budget"),
-        engine=resolved,
+        engine=tier,
     )
     return {
         "q": q,
@@ -82,8 +80,8 @@ def _delivery_observations(
         "packets_total": run.total_packets,
         "steps": run.steps,
         "completed": run.delivered >= n,
-        "engine": resolved,
         "events_elided": run.events_elided,
+        **engine_metrics({"delivery": (tier, refusal)}),
     }
 
 
@@ -91,7 +89,7 @@ def _backlog_observations(
     params: Dict[str, Any], fast: bool, seed: int, engine: str
 ) -> Dict[str, Any]:
     from repro.core.theorem41 import probe_backlog_cost, run_dichotomy
-    from repro.experiments.base import resolve_trial_engine
+    from repro.experiments.base import engine_metrics, resolve_trial_engine
     from repro.campaign import registry
 
     del fast, seed  # backlog planting is deterministic (zero coins)
@@ -103,7 +101,7 @@ def _backlog_observations(
     message = scenario.get("message", "m")
     max_messages = int(scenario.get("max_messages", 4096))
     max_steps = int(scenario.get("max_steps", 200_000))
-    resolved = resolve_trial_engine(engine, factory, pumping=True)
+    tier, refusal = resolve_trial_engine(engine, pumping=True)
     observations: Dict[str, Any]
     if scenario.get("dichotomy"):
         outcome = run_dichotomy(
@@ -112,7 +110,7 @@ def _backlog_observations(
             message=message,
             max_messages=max_messages,
             max_steps=max_steps,
-            engine=resolved,
+            engine=tier,
         )
         probe = outcome.probe
         observations = {
@@ -127,7 +125,7 @@ def _backlog_observations(
             message=message,
             max_messages=max_messages,
             max_steps=max_steps,
-            engine=resolved,
+            engine=tier,
         )
         observations = {}
     observations.update(
@@ -138,7 +136,7 @@ def _backlog_observations(
         lower_bound=probe.lower_bound,
         ratio=probe.ratio,
         messages_spent=probe.messages_spent,
-        engine=resolved,
+        **engine_metrics({"backlog": (tier, refusal)}),
     )
     return observations
 
@@ -192,10 +190,9 @@ def _exploration_observations(
     params: Dict[str, Any],
     fast: bool,
     seed: int,
-    engine: str,
     explore_parallel: Any,
 ) -> Dict[str, Any]:
-    from repro.experiments.base import explore_engine, explore_workers
+    from repro.experiments.base import explore_workers
     from repro.ioa.actions import Direction
     from repro.ioa.exploration import explore_station_states
     from repro.campaign import registry
@@ -204,7 +201,6 @@ def _exploration_observations(
     sender, receiver = registry.make_protocol(
         params["protocol"], dotted.get("protocol")
     )
-    resolved = explore_engine(engine if engine != "auto" else None)
     exploration = explore_station_states(
         sender,
         receiver,
@@ -212,7 +208,6 @@ def _exploration_observations(
         max_messages=int(scenario.get("max_messages", 2)),
         max_configurations=int(scenario.get("max_configurations", 20_000)),
         parallel=explore_workers(explore_parallel),
-        engine=resolved,
     )
     headers = {
         packet.header for packet in exploration.packet_values[Direction.T2R]
@@ -224,7 +219,6 @@ def _exploration_observations(
         "configurations": exploration.configurations,
         "truncated": exploration.truncated,
         "wire_headers": len(headers),
-        "engine": resolved,
     }
 
 
@@ -255,7 +249,7 @@ def run_cell(
         observations = _adversary_observations(params, fast, seed)
     elif cell == CELL_EXPLORATION:
         observations = _exploration_observations(
-            params, fast, seed, engine, explore_parallel
+            params, fast, seed, explore_parallel
         )
     else:
         raise ValueError(f"unknown campaign cell kind {cell!r}")
@@ -270,10 +264,8 @@ def run_cell(
         values[metric] = extractor.extract(observations)
 
     telemetry: Dict[str, Any] = {}
-    if "engine" in observations:
-        telemetry["engine"] = observations["engine"]
-    for key in ("packets_total", "steps", "configurations",
-                "events_elided", "messages_spent"):
+    for key in ("engine", "engine_refusal", "packets_total", "steps",
+                "configurations", "events_elided", "messages_spent"):
         if key in observations:
             telemetry[key] = observations[key]
     return {

@@ -21,6 +21,7 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
     from repro.campaign.compiler import load_spec
     from repro.campaign.engine import run_campaign
     from repro.campaign.spec import SpecError
+    from repro.core.trials import TRIAL_ENGINES
     from repro.runtime import (
         ResultCache,
         TaskFailure,
@@ -65,12 +66,11 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=("auto", "vector", "batch", "interpreted"),
+        choices=TRIAL_ENGINES,
         default="auto",
         help=(
-            "engine tier for the cells (trial engines for "
-            "delivery cells, frontier-BFS tiers for exploration "
-            "cells); all tiers are bit-identical (default: auto)"
+            "trial-engine tier for delivery and backlog cells; the "
+            "tiers are bit-identical (default: auto)"
         ),
     )
     parser.add_argument(

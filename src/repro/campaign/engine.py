@@ -116,10 +116,11 @@ def run_campaign(
             outcomes=report.outcomes,
         )
 
-    if engine not in ("auto", "vector", "batch", "interpreted"):
+    from repro.core.trials import TRIAL_ENGINES
+
+    if engine not in TRIAL_ENGINES:
         raise ValueError(
-            "engine must be 'auto', 'vector', 'batch' or 'interpreted', "
-            f"got {engine!r}"
+            f"engine must be one of {TRIAL_ENGINES}, got {engine!r}"
         )
     runner = None
     if explore_parallel is not None or engine != "auto":

@@ -19,6 +19,7 @@ from typing import List, Optional
 
 from repro.checker.engine import check_protocol
 from repro.checker.properties import STOCK_PROPERTIES, make_property
+from repro.ioa.exploration import BFS_ENGINES
 
 __all__ = ["SYSTEMS", "main", "make_system_pair"]
 
@@ -155,13 +156,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=("auto", "vector", "interpreted"),
+        choices=BFS_ENGINES,
         default="auto",
-        help=(
-            "BFS tier: auto picks the vectorized frontier engine when "
-            "supported; vector requires it (errors otherwise); "
-            "verdicts are identical across tiers"
-        ),
+        help="BFS tier (both choices run the interpreted search)",
     )
     parser.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="LEVELS"
@@ -218,7 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             engine=args.engine,
         )
     except ValueError as exc:
-        # e.g. --engine vector on a gate-rejected configuration.
+        # e.g. --processes with stations that do not pickle.
         parser.error(str(exc))
 
     if args.json:

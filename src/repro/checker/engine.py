@@ -58,16 +58,13 @@ from repro.ioa.exploration import (
     _S_T2R,
     ExplorationCapacityError,
 )
-from repro.ioa import vecfrontier
 from repro.ioa.exploration_parallel import (
+    KERNEL_VERSION,
     _DIGEST_MOD,
     _ExplorationShard,
     _ShardSearch,
     _canon,
-    _engine_tier_salt,
-    _kernel_version,
     _load_checkpoint,
-    _merge_frontier_perf,
     _save_checkpoint,
     _stable_digest,
     checkpoint_path,
@@ -199,29 +196,10 @@ class _CheckerShard(_ExplorationShard):
             sender, receiver, list(alphabet), self.result,
             track_digests=(num_shards > 1 or self.track_parents),
         )
-        # The vector kernel (if any) must bind the *checker* search --
-        # the base constructor saw the plain shard search, which the
-        # line above just replaced.
-        self.engine = options.get("engine", "interpreted")
-        self.kernel = (
-            vecfrontier.FrontierKernel(
-                self.search, max_messages,
-                del_cap=self.del_cap, capacity=self.capacity,
-            )
-            if self.engine == "vector" else None
-        )
         self.ctx = BindContext(
-            self.search, max_messages, list(alphabet), self.del_cap,
-            kernel=self.kernel,
+            self.search, max_messages, list(alphabet), self.del_cap
         )
-        # The scalar-protocol scan reads the context's packing layout,
-        # so it works on narrow config lists too (adopt barriers and
-        # narrow-mode levels); the array scan handles wide levels.
         self.scan = self.prop.bind(self.ctx)
-        self.scan_vector = (
-            self.prop.bind_vector(self.ctx)
-            if self.kernel is not None else None
-        )
         # cfg -> (parent digest, move, arg rank, label), None for seed
         self.parents: Dict[int, Optional[Tuple]] = {}
         self.by_digest: Dict[int, int] = {}
@@ -235,10 +213,7 @@ class _CheckerShard(_ExplorationShard):
         self.store_dir: Optional[str] = options.get("store_dir")
         self.level_log: Optional[LevelLog] = None
         if self.store_kind == "disk":
-            if self.kernel is not None:
-                self._attach_vec_disk_store()
-            else:
-                self._attach_disk_store(seed=None)
+            self._attach_disk_store(seed=None)
 
     def _attach_disk_store(self, seed: Optional[Iterable[int]]) -> None:
         shard_dir = os.path.join(self.store_dir, f"shard-{self.index}")
@@ -247,20 +222,6 @@ class _CheckerShard(_ExplorationShard):
             for cfg in seed:  # distinct by construction: no membership test
                 store.add(cfg)
         self.seen = store
-        self.level_log = LevelLog(os.path.join(shard_dir, "levels"))
-
-    def _attach_vec_disk_store(self) -> None:
-        """Disk residency for the vector tier: the kernel's visited set
-        spills sorted narrow-int runs (same immutable-run design as
-        :class:`DiskVisitedStore`); the level log stays scalar-format
-        (the vector drivers convert on append)."""
-        shard_dir = os.path.join(self.store_dir, f"shard-{self.index}")
-        kernel = self.kernel
-        seen = vecfrontier.VecSeen(
-            kernel.np, directory=os.path.join(shard_dir, "visited")
-        )
-        seen.buffer = kernel.seen.buffer
-        kernel.seen = seen
         self.level_log = LevelLog(os.path.join(shard_dir, "levels"))
 
     # -- protocol ------------------------------------------------------
@@ -367,8 +328,6 @@ class _CheckerShard(_ExplorationShard):
         scanning it here tests every reachable configuration exactly
         once, at any shard count.
         """
-        if self.kernel is not None:
-            return self._adopt_vector(inbound, level)
         frontier = self.pending
         self.pending = []
         seen = self.seen
@@ -414,55 +373,10 @@ class _CheckerShard(_ExplorationShard):
             ],
         }
 
-    def _adopt_vector(self, inbound: List[Tuple], level: int
-                      ) -> Dict[str, Any]:
-        """Vector-tier adopt barrier (narrow configs, no parents).
-
-        Parent metadata is interpreted-only (the gate refuses
-        ``track_parents``), so inbound meta is always ``None`` and only
-        the portable halves are interned.  Hit reports and the level
-        log convert narrow -> scalar so digests, canonical forms and
-        the on-disk format are tier-invariant.
-        """
-        kernel = self.kernel
-        to_scalar = kernel.to_scalar
-        frontier = self.pending
-        self.pending = []
-        seen = kernel.seen
-        multi = self.num_shards > 1
-        num_shards = self.num_shards
-        for portable, _meta in inbound:
-            cfg = vecfrontier.intern_portable_narrow(self, portable)
-            if multi and self._config_digest(to_scalar(cfg)) % num_shards \
-                    != self.index:
-                # Not ours (initial seeding broadcasts to everyone).
-                continue
-            if cfg in seen:
-                self.dup_skipped += 1
-            else:
-                seen.add(cfg)
-                frontier.append(cfg)
-        self.frontier = frontier
-        if self.level_log is not None:
-            self.level_log.append(level, kernel.to_scalar_list(frontier))
-        self.scanned += len(frontier)
-        hits = self.scan(frontier)
-        if hits:
-            self.hits_found += len(hits)
-        return {
-            "size": len(frontier),
-            "hits": [
-                (self._hit_digest(cfg), self._canonical(cfg))
-                for cfg in map(to_scalar, hits)
-            ],
-        }
-
     def expand(self) -> Dict[str, Any]:
         """Expand the frontier; same kernel as the base shard, plus
         capacity pruning, delivered-count folding and parent-pointer
         proposals."""
-        if self.kernel is not None:
-            return vecfrontier.expand_vector(self, wrap_meta=True)
         search = self.search
         seen = self.seen
         pending = self.pending
@@ -641,10 +555,6 @@ class _CheckerShard(_ExplorationShard):
             base_level: absolute level of the entry frontier (for the
                 disk level log; checkpoint levels are the caller's).
         """
-        if self.kernel is not None:
-            return self.run_levels_check_vector(
-                max_configurations, checkpoint_every, save, base_level
-            )
         search = self.search
         seen = self.seen
         queue = list(self.frontier)
@@ -852,150 +762,6 @@ class _CheckerShard(_ExplorationShard):
             "hits": hit_reports,
         }
 
-    def run_levels_check_vector(self, max_configurations: int,
-                                checkpoint_every: int, save,
-                                base_level: int) -> Dict[str, Any]:
-        """Vector twin of :meth:`run_levels_check`.
-
-        Same level barriers (budget truncation, checkpoint cadence,
-        log-then-scan, hit stop), with levels below
-        :data:`~repro.ioa.vecfrontier.FRONTIER_WIDE_THRESHOLD` on the
-        interpreted narrow loop and wider levels on the array kernels.
-        Hit reports convert narrow -> scalar before digesting, so the
-        canonical target is tier-invariant.
-        """
-        kernel = self.kernel
-        np = kernel.np
-        frontier: List[int] = list(self.frontier)
-        self.frontier = []
-        frontier_arr = None
-        visited = self.visited
-        dup_skipped = 0
-        pruned = 0
-        level = 0
-        truncated = False
-        complete = False
-        hit_reports: List[Tuple[int, Tuple]] = []
-        level_log = self.level_log
-        scan = self.scan
-        scan_vector = self.scan_vector
-
-        def barrier_save(is_complete: bool) -> None:
-            nonlocal dup_skipped, pruned, frontier
-            self.visited = visited
-            self.dup_skipped += dup_skipped
-            self.pruned += pruned
-            dup_skipped = 0
-            pruned = 0
-            if frontier_arr is not None:
-                frontier = frontier_arr.tolist()
-            self.frontier = list(frontier)
-            save(level, is_complete)
-            self.frontier = []
-
-        try:
-            while True:
-                width = (
-                    len(frontier_arr) if frontier_arr is not None
-                    else len(frontier)
-                )
-                if width == 0:
-                    complete = True
-                    if save is not None:
-                        barrier_save(True)
-                    break
-                if visited >= max_configurations:
-                    truncated = True
-                    if save is not None:
-                        barrier_save(False)
-                    break
-                if (
-                    save is not None
-                    and level > 0
-                    and level % checkpoint_every == 0
-                ):
-                    barrier_save(False)
-                if (
-                    kernel.wide
-                    or width >= vecfrontier.FRONTIER_WIDE_THRESHOLD
-                ):
-                    if not kernel.wide:
-                        kernel.go_wide()
-                    if frontier_arr is None:
-                        frontier_arr = np.asarray(frontier, dtype=np.int64)
-                        frontier = []
-                    visited += len(frontier_arr)
-                    frontier_arr, dup, prn = vecfrontier._expand_wide_level(
-                        self, kernel, frontier_arr
-                    )
-                    dup_skipped += dup
-                    pruned += prn
-                    level += 1
-                    # The adopt barrier of the new level: log, scan.
-                    if level_log is not None:
-                        level_log.append(
-                            base_level + level,
-                            kernel.to_scalar_list(frontier_arr),
-                        )
-                    self.scanned += len(frontier_arr)
-                    hits = scan_vector(frontier_arr)
-                    hit_list = hits.tolist() if len(hits) else []
-                else:
-                    visited += len(frontier)
-                    next_frontier: List[int] = []
-                    dup, prn = vecfrontier._expand_narrow_level_check(
-                        self, kernel, frontier, next_frontier
-                    )
-                    dup_skipped += dup
-                    pruned += prn
-                    frontier = next_frontier
-                    level += 1
-                    if level_log is not None:
-                        level_log.append(
-                            base_level + level,
-                            kernel.to_scalar_list(frontier),
-                        )
-                    self.scanned += len(frontier)
-                    hit_list = scan(frontier)
-                if hit_list:
-                    self.hits_found += len(hit_list)
-                    to_scalar = kernel.to_scalar
-                    hit_reports = [
-                        (self._hit_digest(cfg), self._canonical(cfg))
-                        for cfg in map(to_scalar, hit_list)
-                    ]
-                    # Stage the hit frontier, exactly as the
-                    # coordinator's hit-barrier checkpoint does: a
-                    # resumed run re-adopts and re-scans it.
-                    if save is not None:
-                        barrier_save(False)
-                    break
-        except ExplorationCapacityError as exc:
-            # Flush progress so the caller's partial accounting (and
-            # the annotated error) see how far the loop got.
-            self.visited = visited
-            self.dup_skipped += dup_skipped
-            self.pruned += pruned
-            if exc.levels_completed is None:
-                exc.levels_completed = base_level + level
-            if exc.configurations_seen is None:
-                exc.configurations_seen = visited
-            raise
-
-        self.visited = visited
-        self.dup_skipped += dup_skipped
-        self.pruned += pruned
-        if frontier_arr is not None:
-            frontier = frontier_arr.tolist()
-        self.frontier = list(frontier)
-        return {
-            "levels": level,
-            "visited": visited,
-            "truncated": truncated,
-            "complete": complete,
-            "hits": hit_reports,
-        }
-
     # -- path reconstruction -------------------------------------------
     def resolve(self, digest: int) -> Dict[str, Any]:
         cfg = self.by_digest.get(digest)
@@ -1022,20 +788,11 @@ class _CheckerShard(_ExplorationShard):
     def restore(self, dump: Dict[str, Any]) -> bool:
         super().restore(dump)
         self.search.rcv_dcount = {}
-        if self.kernel is not None:
-            # super().restore rebuilt a fresh kernel bound to the
-            # delivered-count memo the line above just replaced;
-            # re-point it so misses land in the live dict.
-            self.kernel._rcv_dcount = self.search.rcv_dcount
         if self.store_kind == "disk":
             # The checkpoint materialises the full seen-set; rebuild a
             # fresh disk store from it (store directories are scratch
             # space, not caches -- see repro.checker.store).
-            if self.kernel is not None:
-                self._attach_vec_disk_store()
-            else:
-                ram = self.seen
-                self._attach_disk_store(seed=ram)
+            self._attach_disk_store(seed=self.seen)
         self.parents = dict(dump.get("parents", {}))
         self.by_digest = dict(dump.get("by_digest", {}))
         self.level_parents = {}
@@ -1049,30 +806,6 @@ class _CheckerShard(_ExplorationShard):
         s = self.search
         if self.level_log is not None:
             self.level_log.flush()
-        if self.kernel is not None:
-            kernel = self.kernel
-            kernel.sync_visited(self)
-            store_stats = dict(kernel.seen.stats())
-            store_stats["configurations"] = len(kernel.seen)
-            return {
-                "visited": self.visited,
-                "seen": len(kernel.seen),
-                "dup_skipped": self.dup_skipped,
-                "forwarded": self.forwarded,
-                "pruned": self.pruned,
-                "scanned": self.scanned,
-                "hits_found": self.hits_found,
-                "sender_states": len(self.visited_sids),
-                "receiver_states": len(self.visited_rids),
-                "memo_hits": s.memo_hits,
-                "memo_misses": s.memo_misses,
-                "interned_sender_states": len(s.sender_keys),
-                "interned_receiver_states": len(s.receiver_keys),
-                "interned_packet_values": len(s.values),
-                "interned_value_sets": len(s.set_members),
-                "store": store_stats,
-                "frontier": kernel.perf_counters(),
-            }
         if isinstance(self.seen, DiskVisitedStore):
             self.seen.flush()
             store_stats = self.seen.stats()
@@ -1119,8 +852,7 @@ def checker_checkpoint_key(sender: IOAutomaton, receiver: IOAutomaton,
                            alphabet: List[Hashable], max_messages: int,
                            num_shards: int, backend: str, prop_spec: str,
                            track_parents: bool, del_cap: int,
-                           capacity: Optional[int], store: str,
-                           engine_tier: Optional[str] = None) -> str:
+                           capacity: Optional[int], store: str) -> str:
     """Content key of a checker run: everything that shapes the search
     except the visit budget (budgets stay incremental, as for the
     exploration checkpoints)."""
@@ -1130,14 +862,13 @@ def checker_checkpoint_key(sender: IOAutomaton, receiver: IOAutomaton,
 
     material = (
         CHECKER_CHECKPOINT_FORMAT,
-        _kernel_version(),
+        KERNEL_VERSION,
         code_version(),
         type(sender).__module__, type(sender).__qualname__,
         type(receiver).__module__, type(receiver).__qualname__,
         sender.protocol_state(), receiver.protocol_state(),
         tuple(alphabet), max_messages, num_shards, backend,
         prop_spec, track_parents, del_cap, capacity, store,
-        _engine_tier_salt(engine_tier),
     )
     blob = pickle.dumps(_canon(material), protocol=4)
     return hashlib.sha256(blob).hexdigest()[:32]
@@ -1171,7 +902,6 @@ def _run_search(
     checkpoint_every: int,
     checkpoint_dir: Optional[str],
     resume: bool,
-    engine_tier: str = "interpreted",
 ) -> Dict[str, Any]:
     """One complete level-synchronous hit-hunting search.
 
@@ -1210,7 +940,6 @@ def _run_search(
     key = checker_checkpoint_key(
         sender, receiver, alphabet, max_messages, num_shards, backend,
         prop.spec(), track_parents, del_cap, capacity, store,
-        engine_tier=engine_tier,
     )
     if store == "disk" and store_dir is None:
         store_dir = os.path.join(_default_checker_dir(), "store", key)
@@ -1245,7 +974,6 @@ def _run_search(
         "capacity": capacity,
         "store": store,
         "store_dir": store_dir,
-        "engine": engine_tier,
     }
 
     pool = None
@@ -1466,9 +1194,6 @@ def _run_search(
             "checkpointing": checkpointing,
             "checkpoints_written": checkpoints_written,
             "resumed_from": resumed_from,
-            "frontier": _merge_frontier_perf(
-                [f.get("frontier") for f in finishes], engine_tier
-            ),
         },
     }
 
@@ -1563,13 +1288,9 @@ def check_protocol(
         checkpoint_dir: checkpoint directory (default
             ``<cache>/checker``).
         resume: continue from a matching checkpoint.
-        engine: BFS tier -- ``"auto"`` (default: the vectorized
-            frontier tier whenever numpy is present, the property
-            scans vectorize and parents are not tracked inline, else
-            the interpreted loop), ``"vector"`` (required: raises
-            ``ValueError`` with the gate reason when unsupported), or
-            ``"interpreted"``.  Verdicts, counterexamples and stats
-            are bit-identical across tiers.
+        engine: BFS tier, one of
+            :data:`~repro.ioa.exploration.BFS_ENGINES` (validated by
+            :func:`~repro.ioa.exploration_parallel.resolve_engine_tier`).
 
     Returns:
         A :class:`~repro.checker.result.CheckResult`; verdicts and
@@ -1584,9 +1305,7 @@ def check_protocol(
     if store not in ("memory", "disk"):
         raise ValueError(f"store must be memory/disk, not {store!r}")
     del_cap = max_messages + 1 if prop.needs_delivered else 0
-    engine_tier = resolve_engine_tier(
-        engine, prop=prop, track_parents=(trace == "inline")
-    )
+    resolve_engine_tier(engine)
 
     started = time.perf_counter()
     options = {
@@ -1605,8 +1324,8 @@ def check_protocol(
     # scratch space and leaves them in arbitrary states; every phase
     # (and the final replay) needs the pristine originals, so each
     # search gets its own clones.
-    def _primary_search(tier: str) -> Dict[str, Any]:
-        return _run_search(
+    try:
+        outcome = _run_search(
             sender.clone(), receiver.clone(), alphabet, prop,
             max_messages=max_messages,
             max_configurations=max_configurations,
@@ -1620,32 +1339,7 @@ def check_protocol(
             checkpoint_every=checkpoint_every,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
-            engine_tier=tier,
         )
-
-    try:
-        try:
-            outcome = _primary_search(engine_tier)
-        except Exception as exc:
-            from repro.runtime.bsp import ShardWorkerError
-
-            # A narrow-field overflow mid-search demotes the whole run
-            # to the interpreted tier (identical verdicts; only the
-            # work done so far is repaid) -- the exploration engine's
-            # discipline.
-            demoted = isinstance(
-                exc, vecfrontier.FrontierDemotedError
-            ) or (
-                isinstance(exc, ShardWorkerError)
-                and "FrontierDemotedError" in str(exc)
-            )
-            if not demoted or engine_tier != "vector":
-                raise
-            outcome = _primary_search("interpreted")
-            outcome["engine"]["frontier"] = {
-                "tier": "interpreted",
-                "demoted": str(exc),
-            }
     except ExplorationCapacityError as exc:
         return CheckResult(
             verdict="budget-exhausted",
@@ -1694,10 +1388,6 @@ def check_protocol(
             checkpoint_every=0,
             checkpoint_dir=None,
             resume=False,
-            # Parent tracking is interpreted-only (the gate); the
-            # canonical target is tier-invariant, so the re-run still
-            # selects the same counterexample.
-            engine_tier="interpreted",
         )
         if second["target"] is None or second["target"][0] != target_digest:
             raise RuntimeError(

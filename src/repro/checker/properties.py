@@ -113,66 +113,34 @@ class BindContext:
 
     Wraps one shard's interned search so scanners can resolve packed
     ids to station keys, packet values and value-set members.
-
-    The packing *layout* is part of the context: scanners read the
-    shift/mask attributes instead of the scalar module constants, so
-    the same bind works on the serial kernels' wide packing (the
-    default) and on the vector tier's narrow int64 packing
-    (:class:`repro.ioa.vecfrontier.FrontierKernel` supplies its
-    layout via ``kernel=``).  Intern id spaces are shared across
-    packings -- only the field offsets differ.
     """
 
     def __init__(self, search: Any, max_messages: int,
-                 alphabet: List[Hashable], del_cap: int,
-                 kernel: Any = None) -> None:
+                 alphabet: List[Hashable], del_cap: int) -> None:
         self.search = search
         self.max_messages = max_messages
         self.alphabet = alphabet
         #: 0 when delivered counts are not tracked, else the saturation
         #: cap (``max_messages + 1`` suffices to witness a forgery).
         self.del_cap = del_cap
-        #: the vector tier's FrontierKernel when its narrow packing is
-        #: in effect, else None (scalar packing).
-        self.kernel = kernel
-        if kernel is not None:
-            self.s_rid = kernel.sh_rid
-            self.s_t2r = kernel.sh_t2r
-            self.s_r2t = kernel.sh_r2t
-            self.s_inj = kernel.sh_inj
-            self.s_del = kernel.sh_del
-            self.m_sid = kernel.m_sid
-            self.m_rid = kernel.m_rid
-            self.m_set = kernel.m_set
-            self.m_inj = kernel.m_inj
-        else:
-            self.s_rid = _S_RID
-            self.s_t2r = _S_T2R
-            self.s_r2t = _S_R2T
-            self.s_inj = _S_INJ
-            self.s_del = _S_DEL
-            self.m_sid = _FIELD_MASK
-            self.m_rid = _FIELD_MASK
-            self.m_set = _FIELD_MASK
-            self.m_inj = _FIELD_MASK
 
     def view(self, cfg: int) -> ConfigView:
         """Decode one packed configuration."""
         s = self.search
         values = s.values
         return ConfigView(
-            sender_state=s.sender_keys[cfg & self.m_sid],
-            receiver_state=s.receiver_keys[(cfg >> self.s_rid) & self.m_rid],
+            sender_state=s.sender_keys[cfg & _FIELD_MASK],
+            receiver_state=s.receiver_keys[(cfg >> _S_RID) & _FIELD_MASK],
             t2r_values=tuple(
                 values[m]
-                for m in s.set_members[(cfg >> self.s_t2r) & self.m_set]
+                for m in s.set_members[(cfg >> _S_T2R) & _FIELD_MASK]
             ),
             r2t_values=tuple(
                 values[m]
-                for m in s.set_members[(cfg >> self.s_r2t) & self.m_set]
+                for m in s.set_members[(cfg >> _S_R2T) & _FIELD_MASK]
             ),
-            injected=(cfg >> self.s_inj) & self.m_inj,
-            delivered=(cfg >> self.s_del) if self.del_cap else None,
+            injected=(cfg >> _S_INJ) & _FIELD_MASK,
+            delivered=(cfg >> _S_DEL) if self.del_cap else None,
         )
 
 
@@ -199,10 +167,6 @@ class Property:
     #: True when the predicate reads the delivered count; the checker
     #: then packs a saturating delivered field into configurations.
     needs_delivered: bool = False
-    #: True when :meth:`bind_vector` provides an array scanner; the
-    #: vector frontier tier's gate refuses properties without one
-    #: (auto falls back to the interpreted tier).
-    vector_scannable: bool = False
     #: default ``--system`` for the CLI (``None``: the CLI default).
     default_system: Optional[str] = None
 
@@ -220,17 +184,6 @@ class Property:
         evaluate = self.evaluate
         view = ctx.view
         return lambda batch: [cfg for cfg in batch if evaluate(view(cfg))]
-
-    def bind_vector(self, ctx: BindContext) -> Callable[[Any], Any]:
-        """Array twin of :meth:`bind` for the vector frontier tier.
-
-        Returns ``scan(arr) -> hits``: called with each newly adopted
-        frontier as an int64 ndarray in ``ctx``'s (narrow) packing,
-        returns the hit configurations as an ndarray in batch order.
-        Only called when :attr:`vector_scannable` is True and
-        ``ctx.kernel`` is set.
-        """
-        raise NotImplementedError
 
     def evaluate(self, view: ConfigView) -> bool:
         """Is this configuration a hit (violation/target)?"""
@@ -258,7 +211,6 @@ class TypeOkProperty(Property):
 
     name = "type-ok"
     kind = "invariant"
-    vector_scannable = True
 
     @staticmethod
     def _packet_ok(value: Any) -> bool:
@@ -330,8 +282,8 @@ class TypeOkProperty(Property):
                 bad_set[set_id] = verdict
             return verdict
 
-        m_sid, m_rid, m_set = ctx.m_sid, ctx.m_rid, ctx.m_set
-        s_rid, s_t2r, s_r2t = ctx.s_rid, ctx.s_t2r, ctx.s_r2t
+        m_sid = m_rid = m_set = _FIELD_MASK
+        s_rid, s_t2r, s_r2t = _S_RID, _S_T2R, _S_R2T
 
         def scan(batch: List[int]) -> List[int]:
             refresh()
@@ -354,73 +306,6 @@ class TypeOkProperty(Property):
 
         return scan
 
-    def bind_vector(self, ctx: BindContext) -> Callable[[Any], Any]:
-        kernel = ctx.kernel
-        np = kernel.np
-        search = ctx.search
-        from repro.ioa.vecfrontier import _GrowArray
-
-        # Watermark-grown verdict arrays, one slot per interned id;
-        # the level scan is then four gathers and an OR.
-        sid_bad = _GrowArray(np, np.bool_)
-        rid_bad = _GrowArray(np, np.bool_)
-        vid_bad = _GrowArray(np, np.bool_)
-        set_bad = _GrowArray(np, np.bool_)
-        any_bad = [False]
-
-        def refresh() -> None:
-            sender_keys = search.sender_keys
-            if sid_bad.size < len(sender_keys):
-                fresh = [
-                    not self._sender_key_ok(key)
-                    for key in sender_keys[sid_bad.size:]
-                ]
-                any_bad[0] = any_bad[0] or any(fresh)
-                sid_bad.extend(fresh)
-            receiver_keys = search.receiver_keys
-            if rid_bad.size < len(receiver_keys):
-                fresh = [
-                    not self._receiver_key_ok(key)
-                    for key in receiver_keys[rid_bad.size:]
-                ]
-                any_bad[0] = any_bad[0] or any(fresh)
-                rid_bad.extend(fresh)
-            values = search.values
-            if vid_bad.size < len(values):
-                vid_bad.extend([
-                    not self._packet_ok(value)
-                    for value in values[vid_bad.size:]
-                ])
-            # Sets classify after values: members are always interned
-            # before the set that contains them.
-            set_members = search.set_members
-            if set_bad.size < len(set_members):
-                vb = vid_bad.view()
-                fresh = [
-                    bool(vb[list(members)].any()) if members else False
-                    for members in set_members[set_bad.size:]
-                ]
-                any_bad[0] = any_bad[0] or any(fresh)
-                set_bad.extend(fresh)
-
-        m_sid, m_rid, m_set = ctx.m_sid, ctx.m_rid, ctx.m_set
-        s_rid, s_t2r, s_r2t = ctx.s_rid, ctx.s_t2r, ctx.s_r2t
-
-        def scan(arr: Any) -> Any:
-            refresh()
-            if not any_bad[0] or not len(arr):
-                return arr[:0]
-            bad = (
-                sid_bad.view()[arr & m_sid]
-                | rid_bad.view()[(arr >> s_rid) & m_rid]
-                | set_bad.view()[(arr >> s_t2r) & m_set]
-                | set_bad.view()[(arr >> s_r2t) & m_set]
-            )
-            return arr[bad]
-
-        return scan
-
-
 class HeaderBoundProperty(Property):
     """Invariant: at most ``bound`` distinct packet values per channel.
 
@@ -435,7 +320,6 @@ class HeaderBoundProperty(Property):
 
     name = "header-bound"
     kind = "invariant"
-    vector_scannable = True
 
     def __init__(self, bound: int = 4) -> None:
         if bound < 1:
@@ -450,7 +334,7 @@ class HeaderBoundProperty(Property):
         bound = self.bound
         oversized: Set[int] = set()
         watermark = [0]
-        m_set, s_t2r, s_r2t = ctx.m_set, ctx.s_t2r, ctx.s_r2t
+        m_set, s_t2r, s_r2t = _FIELD_MASK, _S_T2R, _S_R2T
 
         def scan(batch: List[int]) -> List[int]:
             set_members = search.set_members
@@ -468,38 +352,6 @@ class HeaderBoundProperty(Property):
             ]
 
         return scan
-
-    def bind_vector(self, ctx: BindContext) -> Callable[[Any], Any]:
-        kernel = ctx.kernel
-        np = kernel.np
-        search = ctx.search
-        from repro.ioa.vecfrontier import _GrowArray
-
-        bound = self.bound
-        over = _GrowArray(np, np.bool_)
-        any_over = [False]
-        m_set, s_t2r, s_r2t = ctx.m_set, ctx.s_t2r, ctx.s_r2t
-
-        def scan(arr: Any) -> Any:
-            set_members = search.set_members
-            if over.size < len(set_members):
-                fresh = [
-                    len(members) > bound
-                    for members in set_members[over.size:]
-                ]
-                any_over[0] = any_over[0] or any(fresh)
-                over.extend(fresh)
-            if not any_over[0] or not len(arr):
-                return arr[:0]
-            view = over.view()
-            bad = (
-                view[(arr >> s_t2r) & m_set]
-                | view[(arr >> s_r2t) & m_set]
-            )
-            return arr[bad]
-
-        return scan
-
 
 class Dl1ForgeryProperty(Property):
     """Reachability: the Theorem 3.1 (DL1) forgery condition.
@@ -521,20 +373,13 @@ class Dl1ForgeryProperty(Property):
     name = "dl1-forgery"
     kind = "reachability"
     needs_delivered = True
-    vector_scannable = True
     default_system = "sequence-eager"
 
     def bind(self, ctx: BindContext) -> Callable[[List[int]], List[int]]:
-        s_del, s_inj, m_inj = ctx.s_del, ctx.s_inj, ctx.m_inj
+        s_del, s_inj, m_inj = _S_DEL, _S_INJ, _FIELD_MASK
         return lambda batch: [
             cfg for cfg in batch
             if (cfg >> s_del) > ((cfg >> s_inj) & m_inj)
-        ]
-
-    def bind_vector(self, ctx: BindContext) -> Callable[[Any], Any]:
-        s_del, s_inj, m_inj = ctx.s_del, ctx.s_inj, ctx.m_inj
-        return lambda arr: arr[
-            (arr >> s_del) > ((arr >> s_inj) & m_inj)
         ]
 
 

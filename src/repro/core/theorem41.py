@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.channels.packets import Packet
+from repro.core import trials
 from repro.core.extensions import Extension, find_extension
 from repro.core.pumping import ReservePool, pump_message
 from repro.core.replay import ReplayOutcome, attempt_replay
@@ -110,66 +111,35 @@ def plant_backlog(
         ``(system, pool, messages_spent)`` -- the live system in a
         valid configuration with the backlog planted.
 
-    ``engine="auto"`` (default) runs the batched compiled pumping
-    engine (:mod:`repro.core.trials`) when only counters are being
-    recorded -- it executes the same two phases in value-id space and
-    materialises an indistinguishable final configuration --
-    and falls back to the interpreted construction for FULL traces;
+    ``engine`` is one of :data:`~repro.core.trials.TRIAL_ENGINES`.
+    ``"auto"`` (default) runs the batched compiled pumping engine
+    (:mod:`repro.core.trials`) when only counters are being recorded
+    -- it executes the same two phases in value-id space and
+    materialises an indistinguishable final configuration -- and falls
+    back to the interpreted construction for FULL traces;
     ``"interpreted"`` forces the fallback, ``"batch"`` insists and
-    raises when unsupported.  ``"vector"`` insists on the
-    struct-of-arrays pumping engine (:mod:`repro.core.vecpump`, a
-    one-trial grid here; :func:`probe_backlog_costs` amortises whole
-    curves), raising when the pair fails its gate or a FULL trace is
-    requested.  All tiers are bit-identical, so the choice changes
-    speed only.
+    raises when unsupported.  Both tiers are bit-identical, so the
+    choice changes speed only.
     """
-    if engine not in ("auto", "vector", "batch", "interpreted"):
+    if engine not in trials.TRIAL_ENGINES:
         raise ValueError(
-            "engine must be 'auto', 'vector', 'batch' or 'interpreted', "
-            f"got {engine!r}"
+            f"engine must be one of {trials.TRIAL_ENGINES}, got {engine!r}"
         )
-    if engine == "vector":
-        from repro.core import vecpump
-
-        if trace_mode is not TraceMode.COUNTS:
-            raise ValueError(
-                "the vector pumping engine requires "
-                "trace_mode=TraceMode.COUNTS"
+    if engine != "interpreted":
+        refusal = trials.pump_batch_refusal(trace_mode)
+        if refusal is None:
+            return trials.plant_backlog_batch(
+                pair_factory,
+                backlog,
+                message=message,
+                max_messages=max_messages,
+                max_steps_per_message=max_steps_per_message,
+                discovery_messages=discovery_messages,
             )
-        reason = vecpump.pump_unsupported_reason(pair_factory)
-        if reason is not None:
+        if engine == "batch":
             raise ValueError(
-                f"the vector pumping engine cannot plant backlogs for "
-                f"this pair: {reason}"
+                f"the batch pumping engine cannot run this: {refusal}"
             )
-        [triple] = vecpump.plant_backlog_vector(
-            pair_factory,
-            [
-                dict(
-                    backlog=backlog,
-                    message=message,
-                    max_messages=max_messages,
-                    max_steps_per_message=max_steps_per_message,
-                    discovery_messages=discovery_messages,
-                )
-            ],
-        )
-        return triple
-    if engine != "interpreted" and trace_mode is TraceMode.COUNTS:
-        from repro.core.trials import plant_backlog_batch
-
-        return plant_backlog_batch(
-            pair_factory,
-            backlog,
-            message=message,
-            max_messages=max_messages,
-            max_steps_per_message=max_steps_per_message,
-            discovery_messages=discovery_messages,
-        )
-    if engine == "batch":
-        raise ValueError(
-            "the batch pumping engine requires trace_mode=TraceMode.COUNTS"
-        )
     sender, receiver = pair_factory()
     system = make_system(sender, receiver, trace_mode=trace_mode)
     pool = ReservePool()
@@ -260,50 +230,8 @@ def probe_backlog_costs(
     max_steps: int = 200_000,
     engine: str = "auto",
 ) -> List[BacklogProbe]:
-    """Measure a whole cost-vs-backlog curve in one call.
-
-    The grid form of :func:`probe_backlog_cost`: one probe per level,
-    in input order, bit-identical to the scalar sweep at any engine
-    tier.  ``engine="vector"`` insists on the struct-of-arrays pumping
-    engine (:mod:`repro.core.vecpump`), which plants every level of
-    the curve in lockstep over one compiled pair; ``"auto"`` selects
-    it for gate-accepted pairs once the grid reaches
-    ``PUMP_MIN_TRIALS`` levels and otherwise falls back level by
-    level through the batch/interpreted ladder.
-    """
-    if engine not in ("auto", "vector", "batch", "interpreted"):
-        raise ValueError(
-            "engine must be 'auto', 'vector', 'batch' or 'interpreted', "
-            f"got {engine!r}"
-        )
-    backlogs = list(backlogs)
-    if engine in ("auto", "vector"):
-        from repro.core import vecpump
-
-        reason = vecpump.pump_unsupported_reason(pair_factory)
-        if engine == "vector" and reason is not None:
-            raise ValueError(
-                f"the vector pumping engine cannot run this grid: {reason}"
-            )
-        if reason is None and (
-            engine == "vector" or len(backlogs) >= vecpump.PUMP_MIN_TRIALS
-        ):
-            triples = vecpump.plant_backlog_vector(
-                pair_factory,
-                [
-                    dict(
-                        backlog=backlog,
-                        message=message,
-                        max_messages=max_messages,
-                        max_steps_per_message=max_steps,
-                    )
-                    for backlog in backlogs
-                ],
-            )
-            return [
-                _probe(system, spent, message, max_steps)
-                for system, _, spent in triples
-            ]
+    """Measure a whole cost-vs-backlog curve: one
+    :func:`probe_backlog_cost` per level, in input order."""
     return [
         probe_backlog_cost(
             pair_factory,

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.channels.probabilistic import TricklePolicy
+from repro.core import trials
 from repro.datalink.stations import ReceiverStation, SenderStation
 from repro.datalink.system import DataLinkSystem, make_system
 from repro.ioa.actions import Direction
@@ -113,46 +114,25 @@ def run_probabilistic_delivery(
             attach (e.g. a :class:`~repro.ioa.sinks.MetricsSink` for
             operational telemetry); observers only, never part of the
             reported statistics.
-        engine: ``"auto"`` (default) runs the batched compiled engine
+        engine: one of :data:`~repro.core.trials.TRIAL_ENGINES`.
+            ``"auto"`` (default) runs the batched compiled engine
             (:mod:`repro.core.trials`) whenever the configuration is
             within its exactness envelope and falls back to the
             interpreted engine otherwise; ``"interpreted"`` forces the
             fallback; ``"batch"`` insists on the batch path and raises
-            when the configuration is unsupported; ``"vector"``
-            insists on the struct-of-arrays engine
-            (:mod:`repro.core.vectrials`, built for whole trial grids
-            -- a single run pays its setup without amortizing it) and
-            raises when that gate refuses.  All engines produce
-            bit-identical results for the same seed.
+            when the configuration is unsupported.  Both engines
+            produce bit-identical results for the same seed.
 
     Returns:
         The per-message cumulative packet series and final pool size.
     """
-    if engine not in ("auto", "vector", "batch", "interpreted"):
+    if engine not in trials.TRIAL_ENGINES:
         raise ValueError(
-            "engine must be 'auto', 'vector', 'batch' or 'interpreted', "
-            f"got {engine!r}"
+            f"engine must be one of {trials.TRIAL_ENGINES}, got {engine!r}"
         )
-    if engine == "vector":
-        from repro.core import vectrials
-
-        reason = vectrials.vector_unsupported_reason(
-            pair_factory, trickle=trickle, trace_mode=trace_mode, sinks=sinks
-        )
-        if reason is not None:
-            raise ValueError(f"the vector engine cannot run this: {reason}")
-        return vectrials.run_probabilistic_vector(
-            pair_factory,
-            [dict(q=q, n=n, seed=seed)],
-            message=message,
-            max_steps=max_steps,
-            packet_budget=packet_budget,
-            sinks=sinks,
-        )[0]
     if engine != "interpreted":
-        from repro.core import trials
-
-        if trials.probabilistic_batch_supported(trickle, trace_mode, sinks):
+        refusal = trials.probabilistic_batch_refusal(trickle, trace_mode, sinks)
+        if refusal is None:
             return trials.run_probabilistic_batch(
                 pair_factory,
                 q=q,
@@ -164,11 +144,7 @@ def run_probabilistic_delivery(
                 sinks=sinks,
             )
         if engine == "batch":
-            raise ValueError(
-                "the batch engine requires TricklePolicy.NEVER, "
-                "TraceMode.COUNTS and only fresh step-mark-declining "
-                "MetricsSink observers"
-            )
+            raise ValueError(f"the batch engine cannot run this: {refusal}")
     sender, receiver = pair_factory()
     system: DataLinkSystem = make_system(
         sender, receiver, q=q, seed=seed, trickle=trickle,

@@ -34,7 +34,7 @@ Bit-identity is the contract, not an aspiration:
 The equivalence tests drive both paths on identical inputs and compare
 every result field; the batch path is only auto-selected in
 configurations where the transcription is exact (see
-:func:`probabilistic_batch_supported`).
+:func:`probabilistic_batch_refusal` and :func:`pump_batch_refusal`).
 """
 
 from __future__ import annotations
@@ -50,6 +50,12 @@ from repro.ioa.actions import Direction
 from repro.ioa.compile import CompiledPair, PoolOracle
 from repro.ioa.execution import TraceMode
 from repro.ioa.sinks import ExecutionSink, MetricsSink
+
+#: The ``engine=`` choices of every trial entry point (delivery runs,
+#: backlog planting, the experiment and campaign CLIs).  ``auto`` runs
+#: the batch engine whenever its gate accepts and the interpreted
+#: reference otherwise; the tiers are bit-identical.
+TRIAL_ENGINES = ("auto", "batch", "interpreted")
 
 
 class _TrialChannel:
@@ -108,12 +114,12 @@ class _TrialChannel:
         self.size -= 1
 
 
-def probabilistic_batch_supported(
+def probabilistic_batch_refusal(
     trickle: TricklePolicy,
     trace_mode: TraceMode,
     sinks: Optional[Sequence[ExecutionSink]],
-) -> bool:
-    """Whether the batch engine is *exact* for this configuration.
+) -> Optional[str]:
+    """Why the batch delivery engine is not exact here, or ``None``.
 
     The transcription covers the Theorem 5.1 regime: delayed packets
     stay delayed (NEVER), only counters are recorded (COUNTS -- there
@@ -124,20 +130,37 @@ def probabilistic_batch_supported(
     else falls back to the interpreted engine.
     """
     if trickle is not TricklePolicy.NEVER:
-        return False
+        return f"trickle={trickle.name} (the batch engine needs NEVER)"
     if trace_mode is not TraceMode.COUNTS:
-        return False
+        return f"trace_mode={trace_mode.name} (the batch engine needs COUNTS)"
     for sink in sinks or ():
         if type(sink) is not MetricsSink or sink.wants_internal:
-            return False
+            return (
+                f"observer {type(sink).__name__} is not a "
+                "step-mark-declining MetricsSink"
+            )
         if (
             sink.sent_t2r or sink.sent_r2t
             or sink.received_t2r or sink.received_r2t
             or sink.messages_sent or sink.messages_delivered
             or sink.peak_outstanding_t2r or sink.peak_outstanding_r2t
         ):
-            return False
-    return True
+            return "a MetricsSink observer already holds counts"
+    return None
+
+
+def pump_batch_refusal(trace_mode: TraceMode) -> Optional[str]:
+    """Why the batch pumping engine is not exact here, or ``None``.
+
+    :func:`plant_backlog_batch` materialises counters only, so it
+    reproduces COUNTS-mode planting and nothing else.
+    """
+    if trace_mode is not TraceMode.COUNTS:
+        return (
+            f"trace_mode={trace_mode.name} (the batch pumping engine "
+            "needs COUNTS)"
+        )
+    return None
 
 
 class ProbabilisticTrialEngine:
@@ -406,63 +429,6 @@ def run_probabilistic_batch(
         packet_budget=packet_budget,
         sinks=sinks,
     )
-
-
-def run_probabilistic_trials(
-    pair_factory: Callable[[], Tuple],
-    trials: Sequence[dict],
-    engine: str = "auto",
-    **common,
-):
-    """Run a shard of trials over one compiled pair.
-
-    ``trials`` is a sequence of per-trial keyword dicts (``q``/``n``/
-    ``seed``/...), each merged over ``common``; the pair is compiled
-    once and its tables are shared by every trial.
-
-    ``engine`` picks the tier: ``"auto"`` (default) runs the
-    struct-of-arrays vector engine (:mod:`repro.core.vectrials`) when
-    its gate accepts the grid and the grid is large enough to amortize
-    batch setup (``VECTOR_MIN_TRIALS``), the batch engine otherwise;
-    ``"vector"`` / ``"batch"`` insist on one tier (``"vector"``
-    raising when the gate refuses); ``"interpreted"`` runs every trial
-    through the interpreted reference engine.  All tiers are
-    bit-identical trial for trial.
-    """
-    if engine not in ("auto", "vector", "batch", "interpreted"):
-        raise ValueError(
-            "engine must be 'auto', 'vector', 'batch' or 'interpreted', "
-            f"got {engine!r}"
-        )
-    if engine == "interpreted":
-        from repro.core.theorem51 import run_probabilistic_delivery
-
-        return [
-            run_probabilistic_delivery(
-                pair_factory, engine="interpreted", **{**common, **trial}
-            )
-            for trial in trials
-        ]
-    if engine in ("auto", "vector"):
-        from repro.core import vectrials
-
-        reason = vectrials.vector_trials_unsupported_reason(
-            pair_factory, trials, common
-        )
-        if engine == "vector":
-            if reason is not None:
-                raise ValueError(
-                    f"the vector engine cannot run this grid: {reason}"
-                )
-            return vectrials.run_probabilistic_vector(
-                pair_factory, trials, **common
-            )
-        if reason is None and len(trials) >= vectrials.VECTOR_MIN_TRIALS:
-            return vectrials.run_probabilistic_vector(
-                pair_factory, trials, **common
-            )
-    batch_engine = ProbabilisticTrialEngine(pair_factory)
-    return [batch_engine.run(**{**common, **trial}) for trial in trials]
 
 
 class _PumpBag:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.tables import Table
 
@@ -47,65 +47,66 @@ def explore_workers(override: Any = None) -> int:
         return 0
 
 
-def explore_engine(override: Any = None) -> str:
-    """Frontier-BFS tier for state-space explorations.
-
-    ``override`` is the runner's ``--engine`` choice threaded down to
-    the experiments that enumerate station states (E1, E2).  The
-    trial-engine tier ``"batch"`` has no BFS analogue, and an explicit
-    ``"vector"`` would fail the exploration's strict gate in a
-    numpy-less environment -- both degrade to ``"auto"`` (an explicit
-    ``--engine vector`` means "vectorize wherever exact", not "fail
-    the sweep"; compare ``exp_probabilistic._resolved``).  Tiers are
-    bit-identical so, like ``explore_workers``, the setting stays out
-    of experiment parameters and cache keys.
-    """
-    if override is None or override == "batch":
-        return "auto"
-    if override == "vector":
-        from repro.ioa.vecfrontier import frontier_unsupported_reason
-
-        if frontier_unsupported_reason() is not None:
-            return "auto"
-    return str(override)
-
-
 def resolve_trial_engine(
-    engine: Any, pair_factory: Any = None, pumping: bool = False
-) -> str:
-    """Trial-engine tier one protocol run actually executes under.
+    engine: Any, sinks: Any = None, pumping: bool = False
+) -> Tuple[str, Optional[str]]:
+    """The trial-engine tier one protocol run executes under, and why.
 
-    The engine-aware experiments used to copy-paste this degradation
-    logic; it is the one place the strict-gate/auto-fallback discipline
-    for *trial* engines lives (``explore_engine`` is its frontier-BFS
-    counterpart).  ``None`` means "no preference" and resolves to
-    ``"auto"``.  An explicit ``"vector"`` means "vectorize wherever
-    exact", not "fail the sweep", so it degrades to ``"auto"`` when
-    the relevant gate refuses ``pair_factory``: the pumping gate
-    (:func:`repro.core.vecpump.pump_unsupported_reason`) when
-    ``pumping`` is set -- Theorem 4.1 trials run on the
-    struct-of-arrays pumping tier, whose gate drops the RNG-stream
-    condition because pumping draws no coins -- and the trial-grid
-    gate (:func:`repro.core.vectrials.vector_unsupported_reason`)
-    otherwise.  A ``pumping`` resolution without a ``pair_factory``
-    degrades to ``"auto"`` (nothing to gate against).
-
-    Every other choice passes through unchanged.  All tiers are
-    bit-identical, so resolution affects speed only.
+    Returns ``(tier, refusal)``.  ``None`` means "no preference" and
+    resolves like ``"auto"``, which asks the batch gate the run will
+    meet -- :func:`repro.core.trials.pump_batch_refusal` when
+    ``pumping`` (Theorem 4.1 planting, always in COUNTS mode), else
+    :func:`repro.core.trials.probabilistic_batch_refusal` for a
+    Theorem 5.1 delivery run with ``sinks`` attached -- and names the
+    tier that actually runs: ``"batch"`` when the gate accepts,
+    ``"interpreted"`` plus the gate's refusal string when it does not.
+    An explicit choice passes through unchanged with no refusal.  The
+    tiers are bit-identical, so resolution affects speed only; callers
+    record both halves in their metrics.
     """
-    if engine is None:
-        return "auto"
-    if engine != "vector":
-        return str(engine)
+    if engine is not None and engine != "auto":
+        return str(engine), None
+    from repro.channels.probabilistic import TricklePolicy
+    from repro.core import trials
+    from repro.ioa.execution import TraceMode
+
     if pumping:
-        from repro.core.vecpump import pump_unsupported_reason
+        refusal = trials.pump_batch_refusal(TraceMode.COUNTS)
+    else:
+        refusal = trials.probabilistic_batch_refusal(
+            TricklePolicy.NEVER, TraceMode.COUNTS, sinks
+        )
+    return ("batch", None) if refusal is None else ("interpreted", refusal)
 
-        if pair_factory is None:
-            return "auto"
-        return "auto" if pump_unsupported_reason(pair_factory) else "vector"
-    from repro.core.vectrials import vector_unsupported_reason
 
-    return "auto" if vector_unsupported_reason(pair_factory) else "vector"
+def engine_metrics(
+    resolved: Dict[str, Tuple[str, Optional[str]]]
+) -> Dict[str, str]:
+    """Metrics naming the tier each labelled run took.
+
+    ``resolved`` maps a run label to its :func:`resolve_trial_engine`
+    pair.  One run records ``{"engine": tier}``, several record
+    ``"label=tier"`` joined by commas; any gate refusal is added under
+    ``"engine_refusal"`` in the same shape.
+    """
+    def joined(values: Dict[str, str]) -> str:
+        if len(resolved) == 1:
+            return next(iter(values.values()))
+        return ",".join(f"{label}={value}" for label, value in values.items())
+
+    metrics = {
+        "engine": joined(
+            {label: tier for label, (tier, _) in resolved.items()}
+        )
+    }
+    refusals = {
+        label: refusal
+        for label, (_, refusal) in resolved.items()
+        if refusal is not None
+    }
+    if refusals:
+        metrics["engine_refusal"] = joined(refusals)
+    return metrics
 
 
 def run_sharded(module: Any, fast: bool, seed: int) -> "ExperimentResult":

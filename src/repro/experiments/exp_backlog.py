@@ -49,6 +49,7 @@ from repro.datalink.flooding import make_flooding
 from repro.datalink.sequence import make_sequence_protocol
 from repro.experiments.base import (
     ExperimentResult,
+    engine_metrics,
     resolve_trial_engine,
     run_sharded,
 )
@@ -129,23 +130,17 @@ def _probe_dict(probe) -> Dict[str, Any]:
 def run_shard(
     params: Dict[str, Any], fast: bool, seed: int, engine: str = "auto"
 ) -> Dict[str, Any]:
-    """Execute one curve sweep, dichotomy level or escape probe.
-
-    An explicit ``--engine vector`` resolves against the *pumping*
-    gate per protocol family (:mod:`repro.core.vecpump`): the
-    table-compilable pairs ride the struct-of-arrays pumping tier,
-    the oracle-mode flooding curves degrade to the batched path.
-    """
+    """Execute one curve sweep, dichotomy level or escape probe."""
     del seed  # deterministic
     kind = params["kind"]
+    tier, refusal = resolve_trial_engine(engine, pumping=True)
     if kind == "curve":
         phases = int(params["phases"])
         factory = lambda: make_flooding(phases)  # noqa: E731
-        resolved = resolve_trial_engine(engine, factory, pumping=True)
         probes = [
             _probe_dict(probe)
             for probe in probe_backlog_costs(
-                factory, backlog_levels(fast), engine=resolved
+                factory, backlog_levels(fast), engine=tier
             )
         ]
         return {
@@ -153,7 +148,7 @@ def run_shard(
             "phases": phases,
             "probes": probes,
             "metrics": {
-                "engine": resolved,
+                **engine_metrics({"curve": (tier, refusal)}),
                 "packets": sum(p["extension_packets"] for p in probes),
             },
         }
@@ -164,8 +159,7 @@ def run_shard(
             ("abp", make_alternating_bit),
             ("flood", lambda: make_flooding(3)),
         ):
-            resolved = resolve_trial_engine(engine, factory, pumping=True)
-            outcome = run_dichotomy(factory, level, engine=resolved)
+            outcome = run_dichotomy(factory, level, engine=tier)
             rows[label] = {
                 "probe": _probe_dict(outcome.probe),
                 "exceeded_bound": outcome.exceeded_bound,
@@ -174,11 +168,8 @@ def run_shard(
             }
         return {"kind": kind, "level": level, **rows}
     if kind == "sequence":
-        resolved = resolve_trial_engine(
-            engine, make_sequence_protocol, pumping=True
-        )
         probe = probe_backlog_cost(
-            make_sequence_protocol, SEQUENCE_BACKLOG, engine=resolved
+            make_sequence_protocol, SEQUENCE_BACKLOG, engine=tier
         )
         return {"kind": kind, "probe": _probe_dict(probe)}
     raise ValueError(f"unknown backlog shard kind {kind!r}")

@@ -29,17 +29,12 @@ from repro.datalink.flooding import make_capacity_flooding
 from repro.datalink.sequence import make_sequence_protocol
 from repro.experiments.base import (
     ExperimentResult,
-    explore_engine,
     explore_workers,
 )
 
 EXP_ID = "E1"
 NAME = "boundness"
 TITLE = "Theorem 2.1: measured boundness never exceeds k_t * k_r"
-
-#: ``run`` accepts the runner's ``--engine`` selection (BFS tier for
-#: the station-state explorations; tiers are bit-identical).
-ENGINE_AWARE = True
 
 #: E1 runs as one whole-experiment cell (its protocol rows share the
 #: exploration caches, so splitting them into shards buys nothing).
@@ -80,16 +75,13 @@ def protocol_rows(fast: bool) -> List[Tuple[str, Callable, int]]:
 
 
 def run(
-    fast: bool = False, seed: int = 0, explore_parallel=None, engine=None
+    fast: bool = False, seed: int = 0, explore_parallel=None
 ) -> ExperimentResult:
     """Execute E1 and report the per-protocol verdicts.
 
     ``explore_parallel`` selects the worker count for the state-space
     explorations (``None`` falls back to ``$REPRO_EXPLORE_WORKERS``,
     then serial); completed explorations are identical at any count.
-    ``engine`` selects their frontier-BFS tier (see
-    :func:`repro.experiments.base.explore_engine`); all tiers are
-    bit-identical.
     """
     result = ExperimentResult(exp_id=EXP_ID, title=TITLE)
     table = Table(
@@ -119,7 +111,6 @@ def run(
                 "max_configurations": (
                     FAST_BUDGET if fast else SLOW_BUDGET
                 ),
-                "engine": explore_engine(engine),
             },
             parallel=explore_workers(explore_parallel),
         )

@@ -34,7 +34,6 @@ from repro.datalink.sequence_mod import make_modular_sequence
 from repro.datalink.system import make_system
 from repro.experiments.base import (
     ExperimentResult,
-    explore_engine,
     explore_workers,
 )
 from repro.ioa.actions import Direction
@@ -43,10 +42,6 @@ from repro.ioa.exploration import explore_station_states
 EXP_ID = "E2"
 NAME = "headers"
 TITLE = "Theorem 3.1: fixed-header protocols are forged, n-header escapes"
-
-#: ``run`` accepts the runner's ``--engine`` selection (BFS tier for
-#: the station-state explorations; tiers are bit-identical).
-ENGINE_AWARE = True
 
 #: E2 runs as one whole-experiment cell (the attack rows are cheap;
 #: the shared exploration dominates, and it does not shard by row).
@@ -103,16 +98,13 @@ def protocol_rows(
 
 
 def run(
-    fast: bool = False, seed: int = 0, explore_parallel=None, engine=None
+    fast: bool = False, seed: int = 0, explore_parallel=None
 ) -> ExperimentResult:
     """Execute E2 and report attack outcomes per protocol.
 
     ``explore_parallel`` selects the worker count for the state-space
     explorations (``None`` falls back to ``$REPRO_EXPLORE_WORKERS``,
     then serial); completed explorations are identical at any count.
-    ``engine`` selects their frontier-BFS tier (see
-    :func:`repro.experiments.base.explore_engine`); all tiers are
-    bit-identical.
     """
     del seed  # the attack is fully deterministic
     result = ExperimentResult(exp_id=EXP_ID, title=TITLE)
@@ -198,7 +190,6 @@ def run(
     # plateau needs a point past K (the caps keep even fast mode cheap).
     budgets = (1, 2, 3)
     workers = explore_workers(explore_parallel)
-    engine_tier = explore_engine(engine)
     for label, factory, saturates in [
         (
             "capacity-flood(K=2,B=1)",
@@ -217,7 +208,6 @@ def run(
                 max_messages=budget,
                 max_configurations=GROWTH_BUDGET,
                 parallel=workers,
-                engine=engine_tier,
             )
             headers = {
                 packet.header

@@ -44,6 +44,7 @@ from repro.datalink.flooding import make_flooding
 from repro.datalink.sequence import make_sequence_protocol
 from repro.experiments.base import (
     ExperimentResult,
+    engine_metrics,
     resolve_trial_engine,
     run_sharded,
 )
@@ -105,13 +106,15 @@ def run_shard(
     n = horizon(q, fast)
     budget = 150_000 if fast else 400_000
     flood_factory = lambda: make_flooding(PHASES)  # noqa: E731
-    flood_engine = resolve_trial_engine(engine, flood_factory)
-    naive_engine = resolve_trial_engine(engine, make_sequence_protocol)
     # One metrics observer per protocol run.  count_steps=False keeps
     # the COUNTS hot loop free of per-step marks; the step totals come
     # from the run statistics below instead.
     flood_metrics = MetricsSink(count_steps=False)
     naive_metrics = MetricsSink(count_steps=False)
+    resolved = {
+        "flood": resolve_trial_engine(engine, sinks=[flood_metrics]),
+        "naive": resolve_trial_engine(engine, sinks=[naive_metrics]),
+    }
     flood = run_probabilistic_delivery(
         flood_factory,
         q=q,
@@ -119,7 +122,7 @@ def run_shard(
         seed=seed,
         packet_budget=budget,
         sinks=[flood_metrics],
-        engine=flood_engine,
+        engine=resolved["flood"][0],
     )
     naive = run_probabilistic_delivery(
         make_sequence_protocol,
@@ -127,12 +130,12 @@ def run_shard(
         n=n,
         seed=seed,
         sinks=[naive_metrics],
-        engine=naive_engine,
+        engine=resolved["naive"][0],
     )
     metrics: Dict[str, Any] = {
         # What actually ran (engines are bit-identical; this is
         # observability, not identity -- it stays out of cache keys).
-        "engine": f"flood={flood_engine},naive={naive_engine}",
+        **engine_metrics(resolved),
         "packets": flood.total_packets + naive.total_packets,
         "engine_steps": flood.steps + naive.steps,
         # Fast-path kernel observability: both runs execute in

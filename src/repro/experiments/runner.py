@@ -38,6 +38,7 @@ import json
 import sys
 from typing import Callable, Dict
 
+from repro.core.trials import TRIAL_ENGINES
 from repro.experiments import (
     exp_ablation,
     exp_backlog,
@@ -212,18 +213,15 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=("auto", "vector", "batch", "interpreted"),
+        choices=TRIAL_ENGINES,
         default="auto",
         help=(
-            "engine tier for engine-aware experiments: the trial and "
-            "pumping engines of the probabilistic/backlog experiments "
-            "(E3/E4) and the frontier-BFS tier of the state-space "
-            "explorations (E1/E2).  'vector' = numpy array engines "
-            "where exact, "
-            "'batch' = compiled per-trial engine (trials only; "
-            "explorations treat it as auto), 'interpreted' = pure "
-            "reference loops; all tiers are bit-identical, so this "
-            "changes speed only (default: auto)"
+            "engine tier for the delivery and pumping engines of the "
+            "probabilistic/backlog experiments (E3/E4): 'batch' = "
+            "compiled per-trial engine, 'interpreted' = pure reference "
+            "loops, 'auto' = batch wherever its gate accepts; the tiers "
+            "are bit-identical, so this changes speed only "
+            "(default: auto)"
         ),
     )
     parser.add_argument(

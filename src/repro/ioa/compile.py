@@ -41,11 +41,6 @@ The gating predicates (:func:`stock_sender_plumbing` /
 kernels: both need the same guarantee -- that the station class kept
 the base-class engine dispatch, so transitions can talk to the
 protocol hooks directly and states can be restored field-wise.
-
-``COMPILE_VERSION`` is salted into the runtime result cache
-(:mod:`repro.runtime.cache`): cached experiment payloads produced by a
-different compiler generation must never be served, even to readers
-that pin the code digest.
 """
 
 from __future__ import annotations
@@ -54,11 +49,6 @@ from collections import deque
 from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.ioa.actions import Direction
-
-#: Generation of the table-compilation/batched-trial kernel.  Bump on
-#: any change to what the compiled paths compute or count; the runtime
-#: result cache salts this into every key.
-COMPILE_VERSION = "repro-compile/1"
 
 #: Kernel-level sentinel for "no value" (value ids are >= 0).
 NO_VALUE = -1
@@ -328,9 +318,7 @@ class CompiledSender(CompiledAutomaton):
         st.set_protocol_fields(fields)
 
     # ------------------------------------------------------------------
-    # miss resolution (shared by the scalar interface below and the
-    # vectorized engine, which gathers the tables as ndarrays and
-    # resolves the missing (state, input) slots scalar-side)
+    # miss resolution (the table slots the interface below finds empty)
     # ------------------------------------------------------------------
     def resolve_ready(self, sid: int) -> int:
         """Discover (and table) the readiness bit of state ``sid``."""
@@ -430,21 +418,6 @@ class CompiledSender(CompiledAutomaton):
         station.packets_sent = self.packets_sent
         return station
 
-    def materialise_state(self, sid: int, packets_sent: int):
-        """A real station object in interned state ``sid``.
-
-        For engines that track per-trial cursors outside the kernel
-        (the vectorized pumping engine keeps a state-id *vector*, so
-        ``self.cur`` never reflects any one trial).
-        """
-        station = self._proto.clone()
-        packet, fields = self._snaps[sid]
-        station.current_packet = packet
-        station.set_protocol_fields(fields)
-        station.packets_sent = packets_sent
-        return station
-
-
 class CompiledReceiver(CompiledAutomaton):
     """Table-backed receiver kernel.
 
@@ -493,8 +466,7 @@ class CompiledReceiver(CompiledAutomaton):
         return fid
 
     # ------------------------------------------------------------------
-    # miss resolution (shared with the vectorized engine; see
-    # CompiledSender.resolve_*)
+    # miss resolution (see CompiledSender.resolve_*)
     # ------------------------------------------------------------------
     def resolve_accept(self, sid: int, vid: int) -> Tuple[int, Tuple]:
         """Discover the packet macro-transition of ``(sid, vid)``:
@@ -581,119 +553,6 @@ class CompiledReceiver(CompiledAutomaton):
             )
         )
         return station
-
-    def materialise_state(self, sid: int, messages_delivered: int):
-        """A real station object in interned state ``sid``, queues
-        empty (external-cursor engines drain them every step)."""
-        station = self._proto.clone()
-        station.restore(((), (), messages_delivered, self._fields[sid]))
-        return station
-
-
-def _rows_to_array(np, rows: List[List[int]], width: int):
-    """Dense ``(len(rows), width)`` int64 table from ragged rows,
-    missing slots filled with :data:`_UNKNOWN`."""
-    table = np.full((len(rows), width), _UNKNOWN, dtype=np.int64)
-    for sid, row in enumerate(rows):
-        if row:
-            table[sid, : len(row)] = row
-    return table
-
-
-def export_sender_arrays(kernel: CompiledSender, num_values: int):
-    """The sender tables as contiguous int64 ndarrays.
-
-    Returns ``(ready, out, commit, msg, rcv)``: three state-indexed
-    vectors and two ``(state, value id)`` matrices sized
-    ``num_values`` wide (callers pass ``len(kernel.values)`` so every
-    interned id is addressable).  Unknown slots carry ``-1``; ``out``
-    carries :data:`NO_VALUE` (also ``-1``) for states with nothing to
-    transmit -- that slot is populated at intern time and is never a
-    miss.  The arrays are snapshots: the vectorized engine re-exports
-    after resolving misses through ``resolve_*``.  numpy is imported
-    lazily -- it is an optional (``repro[perf]``) dependency.
-    """
-    import numpy as np
-
-    ready = np.array(kernel.ready_bit, dtype=np.int64)
-    out = np.array(kernel.out_vid, dtype=np.int64)
-    commit = np.array(kernel.commit_next, dtype=np.int64)
-    msg = _rows_to_array(np, kernel.msg_next, num_values)
-    rcv = _rows_to_array(np, kernel.rcv_next, num_values)
-    return ready, out, commit, msg, rcv
-
-
-def export_receiver_arrays(kernel: CompiledReceiver, num_values: int):
-    """The receiver macro-transition tables as contiguous ndarrays.
-
-    Returns ``(next, ndeliv, nout, outs)``: the ``(state, value id) ->
-    state`` successor matrix, the per-slot delivery and control-packet
-    counts, and ``outs[s, v, j]`` = the ``j``-th control packet's value
-    id (``outs``'s last axis is the largest control burst seen, at
-    least 1).  Delivery value ids are deliberately not exported: the
-    batched engines only count deliveries.  Unknown slots carry ``-1``
-    in ``next``/``ndeliv``/``nout``.  Snapshot semantics and the lazy
-    numpy import are as in :func:`export_sender_arrays`.
-    """
-    import numpy as np
-
-    nxt = _rows_to_array(np, kernel.rcv_next, num_values)
-    states = len(kernel.rcv_out)
-    ndeliv = np.full((states, num_values), _UNKNOWN, dtype=np.int64)
-    nout = np.full((states, num_values), _UNKNOWN, dtype=np.int64)
-    max_out = 1
-    for out_row in kernel.rcv_out:
-        for ops in out_row:
-            if ops is not None and len(ops[1]) > max_out:
-                max_out = len(ops[1])
-    outs = np.zeros((states, num_values, max_out), dtype=np.int64)
-    for sid, out_row in enumerate(kernel.rcv_out):
-        for vid, ops in enumerate(out_row):
-            if ops is None:
-                continue
-            ndeliv[sid, vid] = len(ops[0])
-            nout[sid, vid] = len(ops[1])
-            if ops[1]:
-                outs[sid, vid, : len(ops[1])] = ops[1]
-    return nxt, ndeliv, nout, outs
-
-
-def export_move_deltas(payloads: List[Any], with_dcounts: bool = False):
-    """CSR columns for a batch of move-class delta payloads.
-
-    The frontier tier (:mod:`repro.ioa.vecfrontier`) memoises each
-    move class as ``key -> payload``, where a payload is ``None`` (no
-    enabled move), a bare packed delta (the deterministic output
-    class), a tuple of deltas, or -- ``with_dcounts`` -- a tuple of
-    ``(delta, delivery count)`` pairs for the checker's delivering
-    class.  Returns ``(starts, counts, pool, dpool)`` as plain int
-    lists (``dpool`` is ``None`` unless ``with_dcounts``), with
-    ``starts`` relative to this batch: callers offset into their own
-    flat pools and convert to ndarrays.  Staying list-shaped keeps the
-    helper importable without numpy, like the rest of this module's
-    pure-Python tables.
-    """
-    starts: List[int] = []
-    counts: List[int] = []
-    pool: List[int] = []
-    dpool: List[int] = []
-    for payload in payloads:
-        starts.append(len(pool))
-        if with_dcounts:
-            counts.append(len(payload))
-            for delta, dcount in payload:
-                pool.append(delta)
-                dpool.append(dcount)
-        elif payload is None:
-            counts.append(0)
-        elif isinstance(payload, tuple):
-            counts.append(len(payload))
-            pool.extend(payload)
-        else:  # a bare delta (the output move class)
-            counts.append(1)
-            pool.append(payload)
-    return starts, counts, pool, (dpool if with_dcounts else None)
-
 
 class InterpretedSender:
     """Fallback sender kernel: same interface, live station behind it.
@@ -1008,23 +867,6 @@ class CompiledPair:
             if self.receiver_table
             else None
         )
-
-    def table_kernels(self) -> Tuple:
-        """The shared table kernels, *without* a per-trial reset.
-
-        For engines that keep all per-trial state (current state ids,
-        output queues, counters) outside the kernels and only use them
-        as transition tables -- the vectorized engine of
-        :mod:`repro.core.vectrials`.  Such engines may call the
-        ``resolve_*`` discovery methods (which never touch ``cur`` or
-        the queues) concurrently with batch trials sharing this pair.
-        """
-        if not (self.sender_table and self.receiver_table):
-            raise ValueError(
-                "table_kernels() needs a fully table-compilable pair; "
-                "this pair falls back to interpreted kernels"
-            )
-        return self._sender_kernel, self._receiver_kernel
 
     def kernels(self, oracle=None) -> Tuple:
         """A (sender kernel, receiver kernel) pair for one trial."""

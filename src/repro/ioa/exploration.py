@@ -614,6 +614,11 @@ class _InternedSearch:
         )
 
 
+#: The ``engine=`` choices of the BFS entry points (exploration and
+#: the checker).  Both name the interpreted loops.
+BFS_ENGINES = ("auto", "interpreted")
+
+
 def explore_station_states(
     sender: IOAutomaton,
     receiver: IOAutomaton,
@@ -652,15 +657,9 @@ def explore_station_states(
             enabled.  Passing a directory enables checkpointing.
         resume: continue from a matching checkpoint instead of
             restarting (parallel engine only).
-        engine: BFS tier.  ``"auto"`` (default) keeps the serial
-            FIFO kernel here and lets the level-synchronous engine
-            pick its vectorized frontier tier when it is in play;
-            ``"vector"`` forces the level-synchronous engine with the
-            numpy frontier kernels (strict: raises when the gate
-            refuses, see
-            :func:`repro.ioa.vecfrontier.frontier_unsupported_reason`);
-            ``"interpreted"`` forces scalar loops everywhere.  Tiers
-            are bit-identical; the choice changes speed only.
+        engine: BFS tier, one of :data:`BFS_ENGINES`.  Both run the
+            interpreted loops, the only BFS tier; the keyword is kept
+            for callers that name it.
 
     Returns:
         An :class:`ExplorationResult` with the visited station states.
@@ -673,13 +672,12 @@ def explore_station_states(
     count but can exceed the cap by up to one level.  Non-truncated
     results are identical on every path.
     """
-    if engine not in ("auto", "vector", "interpreted"):
+    if engine not in BFS_ENGINES:
         raise ValueError(
-            f"engine must be 'auto', 'vector' or 'interpreted', "
-            f"got {engine!r}"
+            f"engine must be one of {BFS_ENGINES}, got {engine!r}"
         )
     if (parallel and parallel > 1) or checkpoint_every > 0 \
-            or checkpoint_dir is not None or engine == "vector":
+            or checkpoint_dir is not None:
         from repro.ioa.exploration_parallel import (
             explore_station_states_parallel,
         )

@@ -54,11 +54,11 @@ every ``checkpoint_every`` levels, plus once at termination, whether
 complete or budget-truncated.  Checkpoints live under
 ``<cache dir>/exploration/<key>.ckpt`` where the key hashes the
 protocol, alphabet, budget-independent parameters, shard layout,
-:data:`repro.runtime.cache.KERNEL_VERSION` and the source digest --
-the same invalidation discipline as the result cache.  Because the
-key excludes ``max_configurations``, a budget-capped search *resumes*
-where it stopped when rerun with a larger budget: caps become
-incremental budgets instead of repeated work.
+:data:`KERNEL_VERSION` and the source digest -- the same invalidation
+discipline as the result cache.  Because the key excludes
+``max_configurations``, a budget-capped search *resumes* where it
+stopped when rerun with a larger budget: caps become incremental
+budgets instead of repeated work.
 
 Truncation is at level granularity: the search stops at the first
 level barrier at or past the budget, so a truncated run may visit up
@@ -78,10 +78,10 @@ import tempfile
 import time
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.ioa import vecfrontier
 from repro.ioa.actions import Direction
 from repro.ioa.automaton import IOAutomaton
 from repro.ioa.exploration import (
+    BFS_ENGINES,
     _FIELD_BITS,
     _FIELD_MASK,
     _MISSING,
@@ -98,19 +98,20 @@ from repro.ioa.exploration import (
 
 __all__ = [
     "CHECKPOINT_FORMAT",
+    "KERNEL_VERSION",
     "checkpoint_key",
     "checkpoint_path",
     "explore_station_states_parallel",
     "resolve_engine_tier",
 ]
 
-#: Engine tiers of the level-synchronous BFS.  ``auto`` picks the
-#: vectorized frontier tier (:mod:`repro.ioa.vecfrontier`) whenever
-#: its gate accepts, falling back silently to the interpreted loop;
-#: both tiers are bit-identical.
-ENGINE_TIERS = ("auto", "vector", "interpreted")
-
 CHECKPOINT_FORMAT = "repro-exploration-checkpoint/2"
+
+#: Generation of the search kernels' statistics contract, salted into
+#: every exploration and checker checkpoint key.  Checkpoints key on
+#: the source digest too, so this only matters to readers that pin or
+#: strip it; bump on any change to what the kernels count.
+KERNEL_VERSION = "repro-kernel/3"
 
 _DIGEST_MOD = 1 << 64
 
@@ -166,26 +167,17 @@ def _stable_digest(value: Any) -> int:
 
 def resolve_engine_tier(engine: str, prop: Any = None,
                         track_parents: bool = False) -> str:
-    """Effective BFS tier (``"vector"``/``"interpreted"``) for an
-    ``engine=`` request.
+    """Effective BFS tier for an ``engine=`` request.
 
-    ``auto`` silently falls back to the interpreted tier on any gate
-    reason; an explicit ``engine="vector"`` raises ``ValueError`` with
-    it -- the PR 7 strict-gate discipline.
+    Validates ``engine`` against :data:`BFS_ENGINES` and returns
+    ``"interpreted"``, the only tier; ``prop`` and ``track_parents``
+    are accepted for the checker's call sites and do not affect it.
     """
-    if engine not in ENGINE_TIERS:
+    del prop, track_parents
+    if engine not in BFS_ENGINES:
         raise ValueError(
-            f"engine must be one of {ENGINE_TIERS}, got {engine!r}"
+            f"engine must be one of {BFS_ENGINES}, got {engine!r}"
         )
-    if engine == "interpreted":
-        return "interpreted"
-    reason = vecfrontier.frontier_unsupported_reason(
-        prop=prop, track_parents=track_parents
-    )
-    if reason is None:
-        return "vector"
-    if engine == "vector":
-        raise ValueError(f"engine='vector' unsupported here: {reason}")
     return "interpreted"
 
 
@@ -265,7 +257,7 @@ class _ExplorationShard:
 
     def __init__(self, index: int, num_shards: int, sender: IOAutomaton,
                  receiver: IOAutomaton, alphabet: List[Hashable],
-                 max_messages: int, engine: str = "interpreted") -> None:
+                 max_messages: int) -> None:
         self.index = index
         self.num_shards = num_shards
         self.max_messages = max_messages
@@ -275,14 +267,6 @@ class _ExplorationShard:
         self.search = _ShardSearch(
             sender, receiver, list(alphabet), self.result,
             track_digests=num_shards > 1,
-        )
-        # In vector mode the kernel owns the visited set (narrow
-        # packing) and adopt/expand/run_levels dispatch to the array
-        # twins in :mod:`repro.ioa.vecfrontier`.
-        self.engine = engine
-        self.kernel = (
-            vecfrontier.FrontierKernel(self.search, max_messages)
-            if engine == "vector" else None
         )
         self.seen: Set[int] = set()
         self.frontier: List[int] = []
@@ -373,8 +357,6 @@ class _ExplorationShard:
     # -- rounds --------------------------------------------------------
     def adopt(self, inbound: List[Tuple]) -> int:
         """Fold routed configurations in; swap in the next frontier."""
-        if self.kernel is not None:
-            return vecfrontier.adopt_vector(self, inbound)
         frontier = self.pending
         self.pending = []
         seen = self.seen
@@ -395,8 +377,6 @@ class _ExplorationShard:
 
     def expand(self) -> Dict[str, Any]:
         """Expand the current frontier level; return routed successors."""
-        if self.kernel is not None:
-            return vecfrontier.expand_vector(self)
         search = self.search
         seen = self.seen
         pending = self.pending
@@ -506,10 +486,6 @@ class _ExplorationShard:
         """
         from collections import deque
 
-        if self.kernel is not None:
-            return vecfrontier.run_levels_vector(
-                self, max_configurations, checkpoint_every, save
-            )
         search = self.search
         seen = self.seen
         queue = deque(self.frontier)
@@ -636,20 +612,8 @@ class _ExplorationShard:
 
     # -- checkpointing -------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Portable dump of the shard (taken at an adopt barrier).
-
-        Always in the scalar packing: the vector tier converts its
-        narrow configs on the way out, so dumps are format-identical
-        across tiers (the checkpoint *key* still separates them).
-        """
+        """Portable dump of the shard (taken at an adopt barrier)."""
         s = self.search
-        if self.kernel is not None:
-            self.kernel.sync_visited(self)
-            seen = set(self.kernel.to_scalar_list(list(self.kernel.seen)))
-            frontier = self.kernel.to_scalar_list(self.frontier)
-        else:
-            seen = set(self.seen)
-            frontier = list(self.frontier)
         return {
             "sender_keys": list(s.sender_keys),
             "sender_snaps": list(s.sender_snaps),
@@ -661,8 +625,8 @@ class _ExplorationShard:
                 direction: set(values)
                 for direction, values in self.result.packet_values.items()
             },
-            "seen": seen,
-            "frontier": frontier,
+            "seen": set(self.seen),
+            "frontier": list(self.frontier),
             "visited_sids": set(self.visited_sids),
             "visited_rids": set(self.visited_rids),
             "visited": self.visited,
@@ -699,29 +663,10 @@ class _ExplorationShard:
             self.result.packet_values[direction] = set(values)
         s.pv_t2r = self.result.packet_values[Direction.T2R]
         s.pv_r2t = self.result.packet_values[Direction.R2T]
-        if self.kernel is not None:
-            # Fresh kernel over the restored tables; re-pack the dump's
-            # scalar configs narrow.  A dump too large for the narrow
-            # fields demotes (the coordinator restarts interpreted).
-            kernel = vecfrontier.FrontierKernel(
-                self.search, self.max_messages,
-                del_cap=self.kernel.del_cap,
-                capacity=self.kernel.capacity,
-            )
-            self.kernel = kernel
-            from_scalar = kernel.from_scalar
-            kernel.seen.buffer = {
-                from_scalar(cfg) for cfg in dump["seen"]
-            }
-            self.seen = set()
-            self.pending = [
-                from_scalar(cfg) for cfg in dump["frontier"]
-            ]
-        else:
-            self.seen = set(dump["seen"])
-            # The dumped frontier was adopted but not expanded; stage
-            # it as pending so the next adopt barrier swaps it back in.
-            self.pending = list(dump["frontier"])
+        self.seen = set(dump["seen"])
+        # The dumped frontier was adopted but not expanded; stage it as
+        # pending so the next adopt barrier swaps it back in.
+        self.pending = list(dump["frontier"])
         self.frontier = []
         self.visited_sids = set(dump["visited_sids"])
         self.visited_rids = set(dump["visited_rids"])
@@ -740,42 +685,6 @@ class _ExplorationShard:
         sender_keys = s.sender_keys
         receiver_keys = s.receiver_keys
         mask = _FIELD_MASK
-        if self.kernel is not None:
-            kernel = self.kernel
-            kernel.sync_visited(self)
-            # Station-pair projection, vectorized over the seen runs
-            # (unique first: the key-tuple mapping then touches each
-            # distinct pair once, not each of the configs).
-            unique_pairs = kernel.unique_pairs()
-            pairs = (
-                set(unique_pairs)
-                if self.num_shards == 1
-                else {
-                    (sender_keys[p & kernel.m_sid],
-                     receiver_keys[(p >> kernel.sh_rid) & kernel.m_rid])
-                    for p in unique_pairs
-                }
-            )
-            return {
-                "sender_states": {
-                    sender_keys[sid] for sid in self.visited_sids
-                },
-                "receiver_states": {
-                    receiver_keys[rid] for rid in self.visited_rids
-                },
-                "pairs": pairs,
-                "packet_values": self.result.packet_values,
-                "visited": self.visited,
-                "dup_skipped": self.dup_skipped,
-                "forwarded": self.forwarded,
-                "memo_hits": s.memo_hits,
-                "memo_misses": s.memo_misses,
-                "interned_sender_states": len(sender_keys),
-                "interned_receiver_states": len(receiver_keys),
-                "interned_packet_values": len(s.values),
-                "interned_value_sets": len(s.set_members),
-                "frontier": kernel.perf_counters(),
-            }
         return {
             "sender_states": {sender_keys[sid] for sid in self.visited_sids},
             "receiver_states": {
@@ -808,11 +717,10 @@ class _ExplorationShard:
 
 
 def _shard_factory(index: int, num_shards: int, *, sender, receiver,
-                   alphabet, max_messages, engine="interpreted"):
+                   alphabet, max_messages):
     """Child-side construction of a shard (module-level: picklable)."""
     shard = _ExplorationShard(
-        index, num_shards, sender, receiver, alphabet, max_messages,
-        engine=engine,
+        index, num_shards, sender, receiver, alphabet, max_messages
     )
     return shard.handle
 
@@ -821,52 +729,22 @@ def _shard_factory(index: int, num_shards: int, *, sender, receiver,
 # Checkpoint files
 # ----------------------------------------------------------------------
 
-def _kernel_version() -> str:
-    # Read dynamically so a KERNEL_VERSION bump (or a test monkeypatch)
-    # invalidates exploration checkpoints exactly like cached results.
-    from repro.runtime import cache as cache_module
-
-    return cache_module.KERNEL_VERSION
-
-
-def _engine_tier_salt(engine_tier: Optional[str]) -> Tuple[str, str]:
-    """Checkpoint-key component separating BFS engine tiers.
-
-    ``None`` resolves like ``engine="auto"`` does (the vector tier
-    whenever its gate accepts), so key computations outside the
-    coordinator agree with default runs.  The vector tier's salt
-    carries :data:`repro.ioa.vecfrontier.FRONTIER_VERSION`: a frontier
-    generation bump invalidates vector-tier checkpoints exactly like a
-    ``KERNEL_VERSION`` bump invalidates them all, and a scalar-tier
-    checkpoint can never be resumed into a vector session (or vice
-    versa).
-    """
-    if engine_tier is None:
-        engine_tier = resolve_engine_tier("auto")
-    if engine_tier == "vector":
-        return ("vector", vecfrontier.FRONTIER_VERSION)
-    return ("interpreted", "")
-
-
 def checkpoint_key(sender: IOAutomaton, receiver: IOAutomaton,
                    alphabet: List[Hashable], max_messages: int,
-                   num_shards: int, backend: str,
-                   engine_tier: Optional[str] = None) -> str:
+                   num_shards: int, backend: str) -> str:
     """Content key of a checkpoint: everything that shapes the search
     except the budget (so budgets are incremental), salted with
-    ``KERNEL_VERSION``, the source digest and the engine tier
-    (see :func:`_engine_tier_salt`)."""
+    :data:`KERNEL_VERSION` and the source digest."""
     from repro.runtime.cache import code_version
 
     material = (
         CHECKPOINT_FORMAT,
-        _kernel_version(),
+        KERNEL_VERSION,
         code_version(),
         type(sender).__module__, type(sender).__qualname__,
         type(receiver).__module__, type(receiver).__qualname__,
         sender.protocol_state(), receiver.protocol_state(),
         tuple(alphabet), max_messages, num_shards, backend,
-        _engine_tier_salt(engine_tier),
     )
     blob = pickle.dumps(_canon(material), protocol=4)
     return hashlib.sha256(blob).hexdigest()[:32]
@@ -1026,64 +904,17 @@ def explore_station_states_parallel(
         checkpoint_dir: checkpoint directory; defaults to
             ``<cache dir>/exploration``.
         resume: load a matching checkpoint before starting.
-        engine: BFS tier -- ``"auto"`` (vectorized frontier kernels
-            when :mod:`repro.ioa.vecfrontier`'s gate accepts, else the
-            interpreted loop), ``"vector"`` (strict: raises when
-            unsupported) or ``"interpreted"``.  Tiers are
-            bit-identical; the choice changes speed only.
+        engine: BFS tier, one of :data:`BFS_ENGINES` (see
+            :func:`resolve_engine_tier`).
 
     Returns:
         An :class:`ExplorationResult`.  ``perf["engine"]`` records the
-        backend, effective shard count, CPU count, level count,
-        cross-shard traffic and the frontier tier's counters.  On a
-        resumed run ``configurations`` is the cumulative total and
-        ``configs_per_sec`` covers only this session's work.
+        backend, effective shard count, CPU count, level count and
+        cross-shard traffic.  On a resumed run ``configurations`` is
+        the cumulative total and ``configs_per_sec`` covers only this
+        session's work.
     """
-    tier = resolve_engine_tier(engine)
-    try:
-        return _explore_level_sync(
-            sender, receiver, message_alphabet, max_messages,
-            max_configurations, workers, use_processes,
-            checkpoint_every, checkpoint_dir, resume, tier,
-        )
-    except Exception as exc:
-        from repro.runtime.bsp import ShardWorkerError
-
-        # A narrow-field overflow mid-search demotes the whole run to
-        # the interpreted tier: results are identical, only the work
-        # done so far is repaid (overflow needs tens of thousands of
-        # distinct station states, so this is rare).
-        demoted = isinstance(exc, vecfrontier.FrontierDemotedError) or (
-            isinstance(exc, ShardWorkerError)
-            and "FrontierDemotedError" in str(exc)
-        )
-        if not demoted or tier != "vector":
-            raise
-        result = _explore_level_sync(
-            sender, receiver, message_alphabet, max_messages,
-            max_configurations, workers, use_processes,
-            checkpoint_every, checkpoint_dir, resume, "interpreted",
-        )
-        result.perf["engine"]["frontier"] = {
-            "tier": "interpreted",
-            "demoted": str(exc),
-        }
-        return result
-
-
-def _explore_level_sync(
-    sender: IOAutomaton,
-    receiver: IOAutomaton,
-    message_alphabet: Iterable[Hashable],
-    max_messages: int,
-    max_configurations: int,
-    workers: int,
-    use_processes: Optional[bool],
-    checkpoint_every: int,
-    checkpoint_dir: Optional[str],
-    resume: bool,
-    tier: str,
-) -> ExplorationResult:
+    resolve_engine_tier(engine)
     started = time.perf_counter()
     alphabet: List[Hashable] = list(message_alphabet)
 
@@ -1116,8 +947,7 @@ def _explore_level_sync(
         if checkpoint_dir is None:
             checkpoint_dir = _default_checkpoint_dir()
         key = checkpoint_key(
-            sender, receiver, alphabet, max_messages, num_shards, backend,
-            engine_tier=tier,
+            sender, receiver, alphabet, max_messages, num_shards, backend
         )
         ckpt_path = checkpoint_path(checkpoint_dir, key)
     else:
@@ -1143,7 +973,6 @@ def _explore_level_sync(
             receiver=receiver,
             alphabet=alphabet,
             max_messages=max_messages,
-            engine=tier,
         )
         from repro.runtime.bsp import ShardedPool
 
@@ -1153,7 +982,7 @@ def _explore_level_sync(
             return pool.request_all(payloads)
     else:
         shard = _ExplorationShard(
-            0, 1, sender, receiver, alphabet, max_messages, engine=tier
+            0, 1, sender, receiver, alphabet, max_messages
         )
 
         def request_all(payloads: List[Tuple]) -> List[Any]:
@@ -1337,10 +1166,6 @@ def _explore_level_sync(
         interned[1] += finish["interned_receiver_states"]
         interned[2] += finish["interned_packet_values"]
         interned[3] += finish["interned_value_sets"]
-    frontier_perf = _merge_frontier_perf(
-        [f.get("frontier") for f in finishes], tier
-    )
-
     result.configurations = visited_total
     result.truncated = truncated and not complete
     result.pair_count = len(pairs)
@@ -1371,40 +1196,6 @@ def _explore_level_sync(
             "checkpointing": checkpointing,
             "checkpoints_written": checkpoints_written,
             "resumed_from": resumed_from,
-            "frontier": frontier_perf,
         },
     }
     return result
-
-
-def _merge_frontier_perf(
-    per_shard: List[Optional[Dict[str, Any]]], tier: str
-) -> Dict[str, Any]:
-    """Fold per-shard frontier counters into one perf dict.
-
-    Interpreted-tier shards report no ``"frontier"`` key; the merged
-    dict then carries only the tier name so ``perf["engine"]
-    ["frontier"]["tier"]`` is always present (the None/0 discipline of
-    ``configs_per_sec``: absent work reads as zero, never as a missing
-    key).
-    """
-    shards = [p for p in per_shard if p]
-    if tier != "vector" or not shards:
-        return {"tier": "interpreted"}
-    generated = sum(p["generated_successors"] for p in shards)
-    unique_new = sum(p["unique_new"] for p in shards)
-    merged = {
-        "tier": "vector",
-        "frontier_version": shards[0]["frontier_version"],
-        "wide": any(p["wide"] for p in shards),
-        "frontier_batches": sum(p["frontier_batches"] for p in shards),
-        "generated_successors": generated,
-        "unique_new": unique_new,
-        "unique_ratio": (
-            round(unique_new / generated, 6) if generated else 0.0
-        ),
-        "fallback_expansions": sum(
-            p["fallback_expansions"] for p in shards
-        ),
-    }
-    return merged

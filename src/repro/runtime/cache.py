@@ -24,45 +24,12 @@ import tempfile
 import time
 from typing import Any, Dict, Optional
 
-from repro.campaign.version import CAMPAIGN_VERSION
-from repro.core.vecpump import PUMP_VERSION
-from repro.core.vectrials import VECTOR_VERSION
-from repro.ioa.compile import COMPILE_VERSION
-from repro.ioa.vecfrontier import FRONTIER_VERSION
 from repro.runtime.task import TaskSpec
 
-# Bump to invalidate every existing cache entry on format changes.
+# Bump to invalidate every existing cache entry on format changes.  Any
+# change to the library itself already changes the key through
+# code_version(), so no further generation salt is needed.
 CACHE_FORMAT = "repro-cache/1"
-
-# Version of the simulation kernel's statistics contract.  The code
-# digest below already changes on any edit, but entries produced by a
-# different *kernel generation* (trace elision, batched decisions,
-# interned exploration, sharded parallel exploration) must stay
-# invalid even for readers that pin or strip the code digest -- so the
-# generation is salted into every key explicitly.  Bump on any change
-# to what the fast paths count.  Exploration checkpoints
-# (:mod:`repro.ioa.exploration_parallel`) salt the same constant into
-# their keys, so a bump invalidates them too.
-KERNEL_VERSION = "repro-kernel/3"
-
-# The table-compilation/batched-trial generation
-# (:data:`repro.ioa.compile.COMPILE_VERSION`) is salted in alongside
-# the kernel generation and for the same reason: results produced by a
-# different compiled-path generation must never be served, even to
-# readers that pin or strip the code digest.  The struct-of-arrays
-# trial generation (:data:`repro.core.vectrials.VECTOR_VERSION`) joins
-# them: engines are bit-identical, so the *engine choice* stays out of
-# task keys, but a vector-generation bump must still flush results the
-# vector tier may have produced.  The struct-of-arrays *pumping*
-# generation (:data:`repro.core.vecpump.PUMP_VERSION`) is salted for
-# the same reason on the Theorem 4.1 side: backlog planting rides its
-# own array program, and a bump there must flush any entry the vector
-# pumping tier may have written.  The frontier-BFS generation
-# (:data:`repro.ioa.vecfrontier.FRONTIER_VERSION`) is salted for the
-# same reason on the exploration/checker side, and the campaign-layer
-# generation (:data:`repro.campaign.version.CAMPAIGN_VERSION`) for the
-# spec-compilation side: a change to how campaign cells are minted or
-# what their payloads mean must flush every entry those cells wrote.
 
 DEFAULT_CACHE_DIR = ".repro-cache"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -115,12 +82,6 @@ class ResultCache:
         material = "\x1f".join(
             [
                 CACHE_FORMAT,
-                KERNEL_VERSION,
-                COMPILE_VERSION,
-                VECTOR_VERSION,
-                PUMP_VERSION,
-                FRONTIER_VERSION,
-                CAMPAIGN_VERSION,
                 code_version(),
                 spec.experiment,
                 spec.shard,
@@ -163,12 +124,6 @@ class ResultCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         entry = {
             "format": CACHE_FORMAT,
-            "kernel_version": KERNEL_VERSION,
-            "compile_version": COMPILE_VERSION,
-            "vector_version": VECTOR_VERSION,
-            "pump_version": PUMP_VERSION,
-            "frontier_version": FRONTIER_VERSION,
-            "campaign_version": CAMPAIGN_VERSION,
             "code_version": code_version(),
             "spec": spec.to_dict(),
             "payload": payload,

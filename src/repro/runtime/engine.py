@@ -170,24 +170,24 @@ def run_experiments(
             serial).  Bound onto the task runner, never into task
             specs, so it stays out of cache keys -- completed
             explorations are identical at any count.
-        engine: engine-tier selection (``auto`` / ``vector`` /
-            ``batch`` / ``interpreted``) threaded to engine-aware
-            modules -- the trial engines of the probabilistic shards
-            (E3/E4) and the frontier-BFS tier of the state-space
-            explorations (E1/E2, where ``batch`` degrades to
-            ``auto``).  Execution configuration like
-            ``explore_parallel``: all engines are bit-identical, so it
-            stays out of task specs and cache keys; the resolved
-            choice is recorded in the run manifest.
+        engine: trial-engine selection, one of
+            :data:`repro.core.trials.TRIAL_ENGINES`, threaded to
+            engine-aware modules -- the delivery and pumping engines
+            of the probabilistic shards (E3/E4).  Execution
+            configuration like ``explore_parallel``: all engines are
+            bit-identical, so it stays out of task specs and cache
+            keys; the request is recorded in the run manifest and the
+            tier each task ran in its metrics.
 
     Raises:
         TaskFailure: a task failed after all retries; no partial
             results are returned.
     """
-    if engine not in ("auto", "vector", "batch", "interpreted"):
+    from repro.core.trials import TRIAL_ENGINES
+
+    if engine not in TRIAL_ENGINES:
         raise ValueError(
-            "engine must be 'auto', 'vector', 'batch' or 'interpreted', "
-            f"got {engine!r}"
+            f"engine must be one of {TRIAL_ENGINES}, got {engine!r}"
         )
     runner = None
     if explore_parallel is not None or engine != "auto":

@@ -19,7 +19,6 @@ Dispatch is by experiment name through the registries in
 
 from __future__ import annotations
 
-import sys
 import time
 from typing import Any, Dict
 
@@ -38,9 +37,9 @@ def execute(
     (``functools.partial``) by the engine rather than carried in the
     spec dict, so they never reach cache keys (all trial engines are
     bit-identical, so the engine choice cannot change a payload).
-    ``engine`` reaches only modules that declare ``ENGINE_AWARE =
-    True`` -- shard modules via ``run_shard(..., engine=)``, whole
-    experiments via ``run(..., engine=)``; everything else ignores it.
+    ``engine`` reaches only shard modules that declare
+    ``ENGINE_AWARE = True`` (via ``run_shard(..., engine=)``) and
+    campaign cells; whole experiments ignore it.
     """
     from repro.experiments.runner import REGISTRY, SHARDED
 
@@ -76,16 +75,9 @@ def execute(
         run = REGISTRY.get(name)
         if run is None:
             raise KeyError(f"unknown experiment {name!r}")
-        module = sys.modules.get(run.__module__)
-        if engine is not None and getattr(module, "ENGINE_AWARE", False):
-            payload = run(
-                fast=fast, seed=seed, explore_parallel=explore_parallel,
-                engine=engine,
-            ).to_dict()
-        else:
-            payload = run(
-                fast=fast, seed=seed, explore_parallel=explore_parallel
-            ).to_dict()
+        payload = run(
+            fast=fast, seed=seed, explore_parallel=explore_parallel
+        ).to_dict()
     else:
         raise ValueError(f"unknown task kind {kind!r}")
     if not isinstance(payload, dict):

@@ -29,9 +29,8 @@ def test_delivery_cell_deterministic():
     assert first == again
     assert first["values"]["delivered"] == 6
     assert first["values"]["completed"] is True
-    assert first["metrics"]["engine"] in (
-        "auto", "vector", "batch", "interpreted"
-    )
+    assert first["metrics"]["engine"] == "batch"
+    assert "engine_refusal" not in first["metrics"]
 
 
 def test_delivery_cell_engine_tiers_identical():
@@ -46,9 +45,11 @@ def test_delivery_cell_engine_tiers_identical():
         )
     )
     reference = run_cell(task.params, True, task.seed, engine="interpreted")
-    for engine in ("auto", "vector", "batch"):
+    for engine in ("auto", "batch"):
         payload = run_cell(task.params, True, task.seed, engine=engine)
         assert payload["values"] == reference["values"]
+        assert payload["metrics"]["engine"] == "batch"
+    assert reference["metrics"]["engine"] == "interpreted"
 
 
 def test_adversary_cell_with_seeded_adversary():
@@ -109,9 +110,7 @@ def test_backlog_cell_reports_probe_fields():
     assert values["lower_bound"] == (
         values["backlog_actual"] // values["headers"]
     )
-    assert first["metrics"]["engine"] in (
-        "auto", "vector", "batch", "interpreted"
-    )
+    assert first["metrics"]["engine"] == "batch"
     assert first["metrics"]["messages_spent"] >= 1
 
 
@@ -126,7 +125,7 @@ def test_backlog_cell_engine_tiers_identical():
         )
     )
     reference = run_cell(task.params, True, task.seed, engine="interpreted")
-    for engine in ("auto", "vector", "batch"):
+    for engine in ("auto", "batch"):
         payload = run_cell(task.params, True, task.seed, engine=engine)
         assert payload["values"] == reference["values"]
 

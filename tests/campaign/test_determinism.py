@@ -2,8 +2,7 @@
 
 Serial, parallel, cached and resumed executions of the same spec at
 the same seed produce identical merged results; cache keys are stable
-under parameter-dict key reordering and invalidated by a
-``CAMPAIGN_VERSION`` bump.
+under parameter-dict key reordering.
 """
 
 import json
@@ -12,7 +11,6 @@ import pytest
 
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import CampaignSpec, CellGroup
-from repro.runtime import cache as cache_mod
 from repro.runtime.cache import ResultCache
 from repro.runtime.manifest import TIMING_FIELDS
 from repro.runtime.task import KIND_CELL, TaskSpec
@@ -118,16 +116,3 @@ def test_cache_key_sensitive_to_values(tmp_path):
     a = cell_spec({"config": {"q": 0.1}})
     b = cell_spec({"config": {"q": 0.2}})
     assert cache.key(a) != cache.key(b)
-
-
-def test_campaign_version_bump_invalidates(tmp_path, monkeypatch):
-    cache = ResultCache(str(tmp_path))
-    spec = cell_spec({"config": {"q": 0.1}})
-    before = cache.key(spec)
-    cache.put(spec, {"payload": 1})
-    assert cache.get(spec) is not None
-    monkeypatch.setattr(
-        cache_mod, "CAMPAIGN_VERSION", "repro-campaign/test-bump"
-    )
-    assert cache.key(spec) != before
-    assert cache.get(spec) is None

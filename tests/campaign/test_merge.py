@@ -86,7 +86,7 @@ def test_missing_metric_fails_completeness():
 def test_aggregate_metrics_discipline():
     target = {}
     aggregate_metrics(target, {"packets": 3, "peak_copies": 5,
-                               "engine": "vector"})
+                               "engine": "batch"})
     aggregate_metrics(target, {"packets": 4, "peak_copies": 2,
-                               "engine": "vector"})
-    assert target == {"packets": 7, "peak_copies": 5, "engine": "vector"}
+                               "engine": "batch"})
+    assert target == {"packets": 7, "peak_copies": 5, "engine": "batch"}

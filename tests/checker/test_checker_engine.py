@@ -205,35 +205,3 @@ class TestCheckpointResume:
             sender, receiver, prop_spec="header-bound=2", **kwargs
         )
         assert one != two
-
-    def test_checkpoint_key_separates_engine_tiers(self, monkeypatch):
-        """Vector-tier checkpoints never resume into interpreted runs
-        (or vice versa), and a FRONTIER_VERSION bump invalidates only
-        the vector-tier keys."""
-        import repro.ioa.vecfrontier as vecfrontier
-        from repro.checker import checker_checkpoint_key
-
-        sender, receiver = make_sequence_protocol()
-        kwargs = dict(
-            alphabet=["m"], max_messages=2, num_shards=1,
-            backend="in-process", prop_spec="type-ok",
-            track_parents=False, del_cap=0, capacity=None,
-            store="memory",
-        )
-        interp = checker_checkpoint_key(
-            sender, receiver, engine_tier="interpreted", **kwargs
-        )
-        vector = checker_checkpoint_key(
-            sender, receiver, engine_tier="vector", **kwargs
-        )
-        assert interp != vector
-        monkeypatch.setattr(
-            vecfrontier, "FRONTIER_VERSION",
-            vecfrontier.FRONTIER_VERSION + ".bumped",
-        )
-        assert checker_checkpoint_key(
-            sender, receiver, engine_tier="vector", **kwargs
-        ) != vector
-        assert checker_checkpoint_key(
-            sender, receiver, engine_tier="interpreted", **kwargs
-        ) == interp

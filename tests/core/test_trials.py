@@ -5,25 +5,51 @@ the Theorem 5.1 delivery loop and the Theorem 4.1 pumping loop into
 integer space; the refactor is only admissible because every observable
 is *exactly* preserved.  These tests pin that contract: same
 :class:`ProbabilisticRunResult` field for field, same backlog-probe
-costs, same deep system state after pumping -- across protocol
-families, error rates and seeds -- plus the dispatch rules
-(``engine="auto"``/``"batch"``/``"interpreted"``) and the support gate.
+costs, same deep system state after pumping -- across every library
+station pair (working and deliberately broken), error rates and seeds
+-- plus the dispatch rules (``engine="auto"``/``"batch"``/
+``"interpreted"``) and the support gates.
 """
 
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channels.probabilistic import TricklePolicy
-from repro.core.theorem41 import plant_backlog, probe_backlog_cost
+from repro.core.theorem41 import (
+    plant_backlog,
+    probe_backlog_cost,
+    probe_backlog_costs,
+    run_dichotomy,
+)
 from repro.core.theorem51 import run_probabilistic_delivery
-from repro.core.trials import probabilistic_batch_supported, run_probabilistic_trials
+from repro.core.trials import (
+    ProbabilisticTrialEngine,
+    probabilistic_batch_refusal,
+    pump_batch_refusal,
+)
 from repro.datalink.alternating_bit import make_alternating_bit
+from repro.datalink.broken import (
+    BlackHoleReceiver,
+    EagerReceiver,
+    ForgetfulSender,
+    SwapReceiver,
+)
 from repro.datalink.flooding import make_capacity_flooding, make_flooding
 from repro.datalink.gobackn import make_gobackn
-from repro.datalink.sequence import make_sequence_protocol
+from repro.datalink.sequence import (
+    SequenceReceiver,
+    SequenceSender,
+    make_sequence_protocol,
+)
+from repro.datalink.sequence_mod import make_modular_sequence
+from repro.datalink.stations import ReceiverStation, SenderStation
+from repro.datalink.window import make_window_protocol
 from repro.ioa.execution import TraceMode
 from repro.ioa.sinks import MetricsSink
+from repro.runtime.seeds import derive_seed
 
 PAIRS = {
     "flooding": lambda: make_flooding(2),
@@ -91,9 +117,15 @@ def test_engine_rejects_unknown_name():
 
 
 def test_batch_engine_rejects_unsupported_configuration():
-    assert not probabilistic_batch_supported(
+    refusal = probabilistic_batch_refusal(
         TricklePolicy.NEVER, TraceMode.FULL, None
     )
+    assert refusal is not None and "COUNTS" in refusal
+    assert probabilistic_batch_refusal(
+        TricklePolicy.NEVER, TraceMode.COUNTS, [MetricsSink(count_steps=False)]
+    ) is None
+    assert pump_batch_refusal(TraceMode.FULL) is not None
+    assert pump_batch_refusal(TraceMode.COUNTS) is None
     with pytest.raises(ValueError, match="batch"):
         run_probabilistic_delivery(
             make_sequence_protocol, q=0.2, n=2,
@@ -108,11 +140,8 @@ def test_batch_engine_rejects_unsupported_configuration():
 
 
 def test_trial_shard_reuses_one_compiled_pair():
-    shard = run_probabilistic_trials(
-        make_sequence_protocol,
-        [{"q": 0.2, "seed": s} for s in range(3)],
-        n=8,
-    )
+    engine = ProbabilisticTrialEngine(make_sequence_protocol)
+    shard = [engine.run(q=0.2, n=8, seed=s) for s in range(3)]
     singles = [
         run_probabilistic_delivery(
             make_sequence_protocol, q=0.2, n=8, seed=s, engine="batch"
@@ -122,6 +151,91 @@ def test_trial_shard_reuses_one_compiled_pair():
     assert [dataclasses.asdict(r) for r in shard] == [
         dataclasses.asdict(r) for r in singles
     ]
+
+
+# ---------------------------------------------------------------------------
+# the station-pair matrix
+# ---------------------------------------------------------------------------
+
+#: Every library station class, paired as the protocols use them (the
+#: broken receivers/senders ride the sequence protocol).
+MATRIX = {
+    "flooding_oracle": lambda: make_flooding(2),
+    "flooding_capacity": lambda: make_capacity_flooding(2, 3),
+    "sequence": make_sequence_protocol,
+    "alternating_bit": make_alternating_bit,
+    "gobackn": lambda: make_gobackn(3),
+    "modular_sequence": make_modular_sequence,
+    "window": make_window_protocol,
+    "black_hole": lambda: (SequenceSender(), BlackHoleReceiver()),
+    "eager": lambda: (SequenceSender(), EagerReceiver()),
+    "forgetful": lambda: (ForgetfulSender(), SequenceReceiver()),
+    "swap": lambda: (SequenceSender(), SwapReceiver()),
+}
+
+MATRIX_CASES = sorted(MATRIX.items())
+
+
+def all_subclasses(base):
+    found, frontier = set(), [base]
+    while frontier:
+        cls = frontier.pop()
+        for sub in cls.__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                frontier.append(sub)
+    return {cls for cls in found if cls.__module__.startswith("repro.")}
+
+
+def test_every_station_class_is_in_the_matrix():
+    """A new library station class must join the batch equivalence
+    matrix (the same guard as ``tests/ioa/test_compile_equivalence.py``)."""
+    covered = set()
+    for factory in MATRIX.values():
+        sender, receiver = factory()
+        covered.add(type(sender))
+        covered.add(type(receiver))
+    library = all_subclasses(SenderStation) | all_subclasses(ReceiverStation)
+    assert library <= covered
+
+
+@pytest.mark.parametrize(
+    "name, factory", MATRIX_CASES, ids=[n for n, _ in MATRIX_CASES]
+)
+@given(
+    root=st.integers(min_value=0, max_value=2**32 - 1),
+    q=st.sampled_from([0.0, 0.2, 0.5, 0.8]),
+    n=st.integers(min_value=1, max_value=6),
+)
+@settings(max_examples=6, deadline=None)
+def test_batch_matches_interpreted_on_every_pair(name, factory, root, q, n):
+    """batch == interpreted, field for field, on every station pair --
+    including the broken ones, whose runs stall identically."""
+    for i in range(3):
+        common = dict(
+            q=q, n=n, seed=derive_seed(root, "batch-equiv", f"t{i}"),
+            max_steps=600,
+        )
+        batch = run_probabilistic_delivery(factory, engine="batch", **common)
+        reference = run_probabilistic_delivery(
+            factory, engine="interpreted", **common
+        )
+        assert batch == reference
+
+
+def test_batch_honours_packet_budgets_and_messages():
+    for seed in range(8):
+        common = dict(
+            q=0.3, n=20, seed=seed, packet_budget=40, message=f"t{seed}"
+        )
+        batch = run_probabilistic_delivery(
+            make_sequence_protocol, engine="batch", **common
+        )
+        reference = run_probabilistic_delivery(
+            make_sequence_protocol, engine="interpreted", **common
+        )
+        assert batch == reference
+        assert not batch.completed  # the budget bites
 
 
 # ---------------------------------------------------------------------------
@@ -176,3 +290,153 @@ def test_plant_backlog_state_matches_interpreted(name):
         assert channel_bag(chan_b) == channel_bag(chan_i)
         assert chan_b.sent_total == chan_i.sent_total
         assert chan_b.delivered_total == chan_i.delivered_total
+
+
+def fingerprint(triple):
+    """Every observable field of a planted configuration, including
+    the exact channel bags (copy ids, packets, send indices, insertion
+    order) and the live copy-id counter."""
+    system, pool, spent = triple
+    ex = system.execution
+    c = ex._counts
+    chans = []
+    for chan in (system.chan_t2r, system.chan_r2t):
+        chans.append((
+            {
+                cid: (tc.packet, tc.sent_at)
+                for cid, tc in chan._in_transit.items()
+            },
+            list(chan._in_transit),
+            chan._sent_total,
+            chan._delivered_total,
+            repr(chan._copy_ids),
+        ))
+    return (
+        system.sender.protocol_state(),
+        system.sender.packets_sent,
+        system.receiver.protocol_state(),
+        system.receiver.messages_delivered,
+        chans,
+        ex.length,
+        (c.sm, c.rm, c.sp_t2r, c.sp_r2t, c.rp_t2r, c.rp_r2t,
+         c.distinct_t2r, c.distinct_r2t,
+         c._last_sent_t2r, c._last_sent_r2t),
+        (sorted(pool.reserved_ids), dict(pool.counts)),
+        spent,
+    )
+
+
+def plant_outcomes(factory, **kwargs):
+    """The planted fingerprint (or the error) per pumping tier."""
+    outcomes = {}
+    for engine in ("batch", "interpreted"):
+        try:
+            outcomes[engine] = fingerprint(
+                plant_backlog(
+                    factory,
+                    trace_mode=TraceMode.COUNTS,
+                    engine=engine,
+                    **kwargs,
+                )
+            )
+        except RuntimeError as exc:
+            outcomes[engine] = str(exc)
+    return outcomes
+
+
+#: Pairs whose pumping succeeds; the broken ones fail it identically.
+PUMP_WORKING = sorted(
+    (
+        "alternating_bit", "flooding_capacity", "flooding_oracle",
+        "gobackn", "modular_sequence", "sequence", "window",
+    )
+)
+PUMP_BROKEN = sorted(("black_hole", "eager", "forgetful", "swap"))
+
+
+def test_every_station_class_is_pumped():
+    """Every matrix pair is pumped, as working or broken, so a new
+    library station class cannot skip the pumping equivalence cases."""
+    assert set(PUMP_WORKING) | set(PUMP_BROKEN) == set(MATRIX)
+    assert not set(PUMP_WORKING) & set(PUMP_BROKEN)
+    covered = set()
+    for name in PUMP_WORKING + PUMP_BROKEN:
+        sender, receiver = MATRIX[name]()
+        covered.add(type(sender))
+        covered.add(type(receiver))
+    library = all_subclasses(SenderStation) | all_subclasses(ReceiverStation)
+    assert library <= covered
+
+
+@pytest.mark.parametrize("name", PUMP_WORKING)
+@given(
+    backlog=st.integers(min_value=0, max_value=48),
+    discovery=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=5, deadline=None)
+def test_pumping_batch_matches_interpreted(name, backlog, discovery):
+    """Station states, both channel bags, every counter, the reserve
+    pool and the messages spent agree field for field."""
+    outcomes = plant_outcomes(
+        MATRIX[name], backlog=backlog, discovery_messages=discovery
+    )
+    assert outcomes["batch"] == outcomes["interpreted"]
+    assert not isinstance(outcomes["batch"], str)
+
+
+@pytest.mark.parametrize("name", PUMP_BROKEN)
+def test_broken_pairs_pump_identically(name):
+    """Where the pumping starves, the batch tier fails with the
+    interpreted tier's exact error; where it limps through (the eager
+    receiver delivers regardless), the configurations match."""
+    outcomes = plant_outcomes(MATRIX[name], backlog=8)
+    assert outcomes["batch"] == outcomes["interpreted"]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(backlog=0),
+        dict(backlog=5, discovery_messages=0),
+        dict(backlog=9, max_messages=0),
+        dict(backlog=9, max_messages=3),
+        dict(backlog=3, max_steps_per_message=0),
+        dict(backlog=6, message=("tuple", 1)),
+    ],
+    ids=["zero-backlog", "no-discovery", "no-budget", "tiny-budget",
+         "zero-steps", "tuple-message"],
+)
+def test_pumping_edge_cases_match(kwargs):
+    """Budget exhaustion, zero-step messages and odd message values
+    take the same path (success or identical error) on both tiers."""
+    outcomes = plant_outcomes(make_sequence_protocol, **kwargs)
+    assert outcomes["batch"] == outcomes["interpreted"]
+
+
+def test_probe_and_dichotomy_match_interpreted():
+    for factory in (make_alternating_bit, make_sequence_protocol):
+        batch = probe_backlog_cost(factory, 12, engine="batch")
+        reference = probe_backlog_cost(factory, 12, engine="interpreted")
+        assert batch == reference
+    batch = run_dichotomy(make_alternating_bit, 12, engine="batch")
+    reference = run_dichotomy(make_alternating_bit, 12, engine="interpreted")
+    # The replay outcome embeds a live Execution (identity equality);
+    # compare the decision surface instead.
+    for field in ("probe", "exceeded_bound", "forged", "theorem_confirmed"):
+        assert getattr(batch, field) == getattr(reference, field), field
+    assert (batch.replay is None) == (reference.replay is None)
+    if batch.replay is not None:
+        assert batch.replay.success == reference.replay.success
+        assert batch.replay.reason == reference.replay.reason
+        assert (batch.replay.forged_deliveries
+                == reference.replay.forged_deliveries)
+
+
+def test_probe_grid_matches_per_level_probes():
+    levels = [0, 4, 9, 33]
+    grid = probe_backlog_costs(make_alternating_bit, levels)
+    solo = [
+        probe_backlog_cost(make_alternating_bit, level, engine="interpreted")
+        for level in levels
+    ]
+    assert grid == solo

@@ -22,12 +22,9 @@ EXPECTED_BENCHES = {
     "BENCH_checker.json",
     "BENCH_compile.json",
     "BENCH_explore.json",
-    "BENCH_frontier.json",
     "BENCH_kernel.json",
     "BENCH_pipeline.json",
-    "BENCH_pump.json",
     "BENCH_runtime.json",
-    "BENCH_vector.json",
 }
 
 

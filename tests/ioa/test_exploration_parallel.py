@@ -12,7 +12,7 @@ The engine's contract (see :mod:`repro.ioa.exploration_parallel`):
 * a checkpointed run resumed after an interruption finishes with
   exactly the observables of an uninterrupted run;
 * checkpoints are salted with ``KERNEL_VERSION`` and ignore stale
-  generations, mirroring the result cache.
+  generations.
 """
 
 import os
@@ -20,8 +20,11 @@ import os
 import pytest
 
 from repro.datalink.alternating_bit import make_alternating_bit
+from repro.datalink.broken import EagerReceiver
 from repro.datalink.flooding import make_capacity_flooding
-from repro.datalink.sequence import make_sequence_protocol
+from repro.datalink.gobackn import make_gobackn
+from repro.datalink.sequence import SequenceSender, make_sequence_protocol
+from repro.datalink.sequence_mod import make_modular_sequence
 from repro.ioa.actions import Direction
 from repro.ioa.exploration import configs_per_sec, explore_station_states
 from repro.ioa.exploration_parallel import (
@@ -83,6 +86,25 @@ class TestSerialParallelEquivalence:
         parallel = explore_parallel(
             factory, alphabet, max_messages,
             workers=4, use_processes=False,
+        )
+        assert observables(parallel) == observables(serial)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: (SequenceSender(), EagerReceiver()),
+            lambda: make_gobackn(3),
+            make_modular_sequence,
+        ],
+        ids=["eager", "gobackn", "modular_sequence"],
+    )
+    def test_stock_pairs_match_serial(self, factory):
+        """Pairs outside the table compiler's reach (Go-Back-N's own
+        plumbing) and broken receivers explore identically too."""
+        serial = explore_serial(factory, ["a", "b"], 2)
+        assert not serial.truncated
+        parallel = explore_parallel(
+            factory, ["a", "b"], 2, workers=3, use_processes=False,
         )
         assert observables(parallel) == observables(serial)
 
@@ -289,27 +311,10 @@ class TestCheckpointHygiene:
             sender, receiver, ["m"], 2, 1, "in-process"
         ) == base
 
-    def test_key_separates_engine_tiers(self, monkeypatch):
-        """Vector-tier checkpoints never resume into interpreted runs,
-        and a FRONTIER_VERSION bump invalidates only vector keys."""
-        import repro.ioa.vecfrontier as vecfrontier
-
-        sender, receiver = make_alternating_bit()
-        args = (sender, receiver, ["m"], 2, 1, "in-process")
-        interp = checkpoint_key(*args, engine_tier="interpreted")
-        vector = checkpoint_key(*args, engine_tier="vector")
-        assert interp != vector
-        monkeypatch.setattr(
-            vecfrontier, "FRONTIER_VERSION",
-            vecfrontier.FRONTIER_VERSION + ".bumped",
-        )
-        assert checkpoint_key(*args, engine_tier="vector") != vector
-        assert checkpoint_key(*args, engine_tier="interpreted") == interp
-
     def test_kernel_version_bump_invalidates(self, tmp_path, monkeypatch):
         """A checkpoint written before a KERNEL_VERSION bump must not
-        be resumed after it (mirrors the result-cache pre-bump test)."""
-        from repro.runtime import cache as cache_module
+        be resumed after it, even though the code digest is unchanged."""
+        from repro.ioa import exploration_parallel as xp
 
         kwargs = dict(
             workers=1, use_processes=False,
@@ -320,9 +325,7 @@ class TestCheckpointHygiene:
             max_configurations=10, **kwargs,
         )
         monkeypatch.setattr(
-            cache_module,
-            "KERNEL_VERSION",
-            cache_module.KERNEL_VERSION + ".bumped",
+            xp, "KERNEL_VERSION", xp.KERNEL_VERSION + ".bumped"
         )
         resumed = explore_station_states_parallel(
             *make_alternating_bit(), ["m"], max_messages=2, **kwargs

@@ -1,16 +1,7 @@
 """Unit: the on-disk JSON result cache."""
 
-from repro.core.vecpump import PUMP_VERSION
-from repro.core.vectrials import VECTOR_VERSION
-from repro.ioa.compile import COMPILE_VERSION
-from repro.ioa.vecfrontier import FRONTIER_VERSION
 from repro.runtime import cache as cache_module
-from repro.runtime.cache import (
-    CACHE_FORMAT,
-    KERNEL_VERSION,
-    ResultCache,
-    code_version,
-)
+from repro.runtime.cache import CACHE_FORMAT, ResultCache, code_version
 from repro.runtime.task import TaskSpec
 
 
@@ -84,129 +75,18 @@ def test_code_version_is_stable_hex():
     int(first, 16)
 
 
-def test_entry_records_kernel_version(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    cache.put(spec(), {"x": 1})
-    assert cache.get(spec())["kernel_version"] == KERNEL_VERSION
-
-
-def test_kernel_version_bump_invalidates_old_entries(
-    tmp_path, monkeypatch
-):
-    """An entry written before a KERNEL_VERSION bump must not be
-    served after it, even though the code digest is unchanged."""
+def test_code_version_change_misses_the_cache(tmp_path, monkeypatch):
+    """An entry written by different library code must not be served:
+    the source digest is the cache's only generation salt."""
     cache = ResultCache(str(tmp_path))
     cache.put(spec(), {"x": 1})
     assert cache.get(spec()) is not None
     old_key = cache.key(spec())
-    monkeypatch.setattr(
-        cache_module, "KERNEL_VERSION", KERNEL_VERSION + ".bumped"
-    )
+    monkeypatch.setattr(cache_module, "_code_version", "f" * 64)
     assert cache.key(spec()) != old_key
     assert cache.get(spec()) is None  # old entry is unreachable
-    # New results are stored and served under the new kernel version.
+    # New results are stored and served under the new code version.
     cache.put(spec(), {"x": 2})
-    assert cache.get(spec())["payload"] == {"x": 2}
-
-
-def test_entry_records_compile_version(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    cache.put(spec(), {"x": 1})
-    assert cache.get(spec())["compile_version"] == COMPILE_VERSION
-
-
-def test_compile_version_bump_invalidates_old_entries(
-    tmp_path, monkeypatch
-):
-    """An entry written before a COMPILE_VERSION bump must not be
-    served after it: results computed by a different table-compiler /
-    batched-trial generation are stale even if no source changed."""
-    cache = ResultCache(str(tmp_path))
-    cache.put(spec(), {"x": 1})
-    assert cache.get(spec()) is not None
-    old_key = cache.key(spec())
-    monkeypatch.setattr(
-        cache_module, "COMPILE_VERSION", COMPILE_VERSION + ".bumped"
-    )
-    assert cache.key(spec()) != old_key
-    assert cache.get(spec()) is None  # old entry is unreachable
-    cache.put(spec(), {"x": 2})
-    assert cache.get(spec())["payload"] == {"x": 2}
-
-
-def test_entry_records_vector_version(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    cache.put(spec(), {"x": 1})
-    assert cache.get(spec())["vector_version"] == VECTOR_VERSION
-
-
-def test_vector_version_bump_invalidates_old_entries(
-    tmp_path, monkeypatch
-):
-    """An entry written before a VECTOR_VERSION bump must not be
-    served after it: the engine *choice* stays out of keys (all tiers
-    are bit-identical), but results a different struct-of-arrays
-    generation may have produced are stale even if no source changed."""
-    cache = ResultCache(str(tmp_path))
-    cache.put(spec(), {"x": 1})
-    assert cache.get(spec()) is not None
-    old_key = cache.key(spec())
-    monkeypatch.setattr(
-        cache_module, "VECTOR_VERSION", VECTOR_VERSION + ".bumped"
-    )
-    assert cache.key(spec()) != old_key
-    assert cache.get(spec()) is None  # old entry is unreachable
-    cache.put(spec(), {"x": 2})
-    assert cache.get(spec())["payload"] == {"x": 2}
-
-
-def test_entry_records_pump_version(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    cache.put(spec(), {"x": 1})
-    assert cache.get(spec())["pump_version"] == PUMP_VERSION
-
-
-def test_pump_version_bump_invalidates_old_entries(
-    tmp_path, monkeypatch
-):
-    """An entry written before a PUMP_VERSION bump must not be served
-    after it: the pumping tier choice stays out of keys (tiers are
-    bit-identical), but results a different struct-of-arrays *pumping*
-    generation may have produced are stale even if no source changed."""
-    cache = ResultCache(str(tmp_path))
-    cache.put(spec(), {"x": 1})
-    assert cache.get(spec()) is not None
-    old_key = cache.key(spec())
-    monkeypatch.setattr(
-        cache_module, "PUMP_VERSION", PUMP_VERSION + ".bumped"
-    )
-    assert cache.key(spec()) != old_key
-    assert cache.get(spec()) is None  # old entry is unreachable
-    cache.put(spec(), {"x": 2})
-    assert cache.get(spec())["payload"] == {"x": 2}
-
-
-def test_entry_records_frontier_version(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    cache.put(spec(), {"x": 1})
-    assert cache.get(spec())["frontier_version"] == FRONTIER_VERSION
-
-
-def test_frontier_version_bump_invalidates_old_entries(
-    tmp_path, monkeypatch
-):
-    """An entry written before a FRONTIER_VERSION bump must not be
-    served after it: the BFS tier choice stays out of keys (tiers are
-    bit-identical), but results a different frontier-kernel generation
-    may have produced are stale even if no source changed."""
-    cache = ResultCache(str(tmp_path))
-    cache.put(spec(), {"x": 1})
-    assert cache.get(spec()) is not None
-    old_key = cache.key(spec())
-    monkeypatch.setattr(
-        cache_module, "FRONTIER_VERSION", FRONTIER_VERSION + ".bumped"
-    )
-    assert cache.key(spec()) != old_key
-    assert cache.get(spec()) is None  # old entry is unreachable
-    cache.put(spec(), {"x": 2})
-    assert cache.get(spec())["payload"] == {"x": 2}
+    entry = cache.get(spec())
+    assert entry["payload"] == {"x": 2}
+    assert entry["code_version"] == "f" * 64

@@ -6,15 +6,26 @@ bit-identical, so the choice is bound onto the task runner
 reaches cache keys, and surfaces only as observability -- a top-level
 ``engine`` field in the run manifest plus per-shard resolved-engine
 metrics.  These tests pin the plumbing with fake shard modules so they
-stay fast and engine-agnostic.
+stay fast and engine-agnostic, then pin what ``auto`` resolves to and
+that the retired ``vector`` tier is refused everywhere.
 """
 
 import json
 
 import pytest
 
+from repro.core.theorem41 import plant_backlog
+from repro.core.theorem51 import run_probabilistic_delivery
+from repro.core.trials import TRIAL_ENGINES
+from repro.datalink.sequence import make_sequence_protocol
+from repro.experiments import exp_probabilistic
 from repro.experiments import runner as runner_mod
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import (
+    ExperimentResult,
+    engine_metrics,
+    resolve_trial_engine,
+)
+from repro.ioa.sinks import MetricsSink
 from repro.runtime.engine import run_experiments
 from repro.runtime.manifest import build_manifest
 from repro.runtime.worker import execute
@@ -91,7 +102,7 @@ def test_worker_default_leaves_run_shard_signature_alone(fake_experiments):
     kwarg, so non-aware modules never see an unexpected argument."""
     execute(spec_dict("fake_aware"), engine=None)
     assert fake_experiments["aware_engine"] == "auto"
-    execute(spec_dict("fake_obliv"), engine="vector")
+    execute(spec_dict("fake_obliv"), engine="interpreted")
     assert fake_experiments["oblivious_ran"] is True
 
 
@@ -123,9 +134,9 @@ def test_manifest_records_engine():
         seed=0,
         workers=1,
         code_version="0" * 64,
-        engine="vector",
+        engine="interpreted",
     )
-    assert manifest["engine"] == "vector"
+    assert manifest["engine"] == "interpreted"
 
 
 def test_cli_engine_flag_threads_to_the_manifest(
@@ -153,3 +164,83 @@ def test_cli_engine_flag_threads_to_the_manifest(
 def test_cli_rejects_unknown_engine(fake_experiments, capsys):
     with pytest.raises(SystemExit):
         runner_mod.main(["fake_aware", "--fast", "--engine", "warp"])
+
+
+# ---------------------------------------------------------------------------
+# what auto resolves to, and why
+# ---------------------------------------------------------------------------
+
+
+def test_auto_resolves_to_the_batch_tier():
+    assert TRIAL_ENGINES == ("auto", "batch", "interpreted")
+    assert resolve_trial_engine("auto") == ("batch", None)
+    assert resolve_trial_engine(None) == ("batch", None)
+    assert resolve_trial_engine("auto", pumping=True) == ("batch", None)
+    fresh = MetricsSink(count_steps=False)
+    assert resolve_trial_engine("auto", sinks=[fresh]) == ("batch", None)
+    for explicit in ("batch", "interpreted"):
+        assert resolve_trial_engine(explicit) == (explicit, None)
+
+
+def test_auto_fallback_records_the_gate_refusal():
+    used = MetricsSink(count_steps=False)
+    used.sent_t2r = 3  # a pre-used observer needs the event interleaving
+    tier, refusal = resolve_trial_engine("auto", sinks=[used])
+    assert tier == "interpreted"
+    assert "already holds counts" in refusal
+    assert engine_metrics({"run": (tier, refusal)}) == {
+        "engine": "interpreted",
+        "engine_refusal": refusal,
+    }
+    assert engine_metrics(
+        {"flood": ("batch", None), "naive": (tier, refusal)}
+    ) == {
+        "engine": "flood=batch,naive=interpreted",
+        "engine_refusal": f"naive={refusal}",
+    }
+
+
+def test_probabilistic_shard_records_the_tier_that_ran():
+    params = {"shard": "q=0.4", "q": 0.4}
+    auto = exp_probabilistic.run_shard(params, True, 1)
+    assert auto["metrics"]["engine"] == "flood=batch,naive=batch"
+    assert "engine_refusal" not in auto["metrics"]
+    forced = exp_probabilistic.run_shard(params, True, 1, engine="interpreted")
+    assert forced["metrics"]["engine"] == "flood=interpreted,naive=interpreted"
+    assert forced["flood"] == auto["flood"]
+    assert forced["naive"] == auto["naive"]
+
+
+# ---------------------------------------------------------------------------
+# the vector tier is gone from every entry point
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["all", "--fast", "--engine", "vector"],
+        ["campaign", "examples/campaign_smoke.json", "--engine", "vector"],
+        ["check", "--property", "type-ok", "--engine", "vector"],
+    ],
+    ids=["all", "campaign", "check"],
+)
+def test_cli_refuses_the_vector_engine(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        runner_mod.main(argv)
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'vector'" in capsys.readouterr().err
+
+
+def test_library_entry_points_refuse_the_vector_engine():
+    from repro.checker import check_protocol
+
+    with pytest.raises(ValueError, match="engine must be"):
+        plant_backlog(make_sequence_protocol, 4, engine="vector")
+    with pytest.raises(ValueError, match="engine must be"):
+        run_probabilistic_delivery(
+            make_sequence_protocol, q=0.2, n=1, engine="vector"
+        )
+    sender, receiver = make_sequence_protocol()
+    with pytest.raises(ValueError, match="engine must be"):
+        check_protocol(sender, receiver, ["m"], "type-ok", engine="vector")
