@@ -1,5 +1,5 @@
-"""repro.checker -- a bounded model checker over the sharded
-exploration engine.
+"""repro.checker -- a bounded model checker over the level-synchronous
+BFS driver of :mod:`repro.ioa.exploration_parallel`.
 
 Public surface:
 
@@ -14,7 +14,7 @@ See ``docs/CHECKER.md`` for the property API, the bounding discipline
 and the disk-backed visited-set mode.
 """
 
-from repro.checker.engine import check_protocol, checker_checkpoint_key
+from repro.checker.engine import check_protocol
 from repro.checker.properties import (
     STOCK_PROPERTIES,
     BindContext,
@@ -43,7 +43,6 @@ __all__ = [
     "TraceStep",
     "TypeOkProperty",
     "check_protocol",
-    "checker_checkpoint_key",
     "make_property",
     "replay_counterexample",
 ]

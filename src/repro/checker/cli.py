@@ -6,8 +6,8 @@ its concrete replay and spec verdicts) and the search statistics.
 
 Exit codes: ``0`` when the bounded question was decided (holds *or*
 violated -- a reachability property finding its target is a success),
-``2`` when a budget ran out first, ``1`` when ``--expect`` named a
-different verdict.
+``2`` when a budget ran out first or an argument is malformed, ``1``
+when ``--expect`` named a different verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import List, Optional
 
 from repro.checker.engine import check_protocol
 from repro.checker.properties import STOCK_PROPERTIES, make_property
-from repro.ioa.exploration import BFS_ENGINES
 
 __all__ = ["SYSTEMS", "main", "make_system_pair"]
 
@@ -72,20 +71,27 @@ def make_system_pair(name: str):
 
     Beyond the fixed registry, ``modular-sequence-<k>`` and
     ``capacity-flooding-<n>-<k>`` are parsed parameterised families.
+    Raises :class:`ValueError` naming ``name`` when it is unknown or
+    its parameters are malformed.
     """
     factory = SYSTEMS.get(name)
     if factory is not None:
         return factory()
-    if name.startswith("modular-sequence-"):
-        from repro.datalink.sequence_mod import make_modular_sequence
+    try:
+        if name.startswith("modular-sequence-"):
+            from repro.datalink.sequence_mod import make_modular_sequence
 
-        return make_modular_sequence(int(name[len("modular-sequence-"):]))
-    if name.startswith("capacity-flooding-"):
-        from repro.datalink.flooding import make_capacity_flooding
+            return make_modular_sequence(
+                int(name[len("modular-sequence-"):])
+            )
+        if name.startswith("capacity-flooding-"):
+            from repro.datalink.flooding import make_capacity_flooding
 
-        n, k = name[len("capacity-flooding-"):].split("-")
-        return make_capacity_flooding(int(n), int(k))
-    raise SystemExit(
+            n, k = name[len("capacity-flooding-"):].split("-")
+            return make_capacity_flooding(int(n), int(k))
+    except ValueError as exc:
+        raise ValueError(f"malformed system {name!r}: {exc}") from exc
+    raise ValueError(
         f"unknown system {name!r}; stock systems: {sorted(SYSTEMS)}, "
         "plus modular-sequence-<k> and capacity-flooding-<n>-<k>"
     )
@@ -155,12 +161,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="counterexample reconstruction mode",
     )
     parser.add_argument(
-        "--engine",
-        choices=BFS_ENGINES,
-        default="auto",
-        help="BFS tier (both choices run the interpreted search)",
-    )
-    parser.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="LEVELS"
     )
     parser.add_argument("--checkpoint-dir", default=None, metavar="DIR")
@@ -191,7 +191,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     system = args.system
     if system is None:
         system = prop.default_system or "sequence"
-    sender, receiver = make_system_pair(system)
+    try:
+        sender, receiver = make_system_pair(system)
+    except ValueError as exc:
+        parser.error(str(exc))
     alphabet = [part for part in args.alphabet.split(",") if part]
 
     try:
@@ -212,10 +215,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
             resume=not args.no_resume,
-            engine=args.engine,
         )
     except ValueError as exc:
-        # e.g. --processes with stations that do not pickle.
+        # e.g. a negative bound, or --processes with stations that do
+        # not pickle.
         parser.error(str(exc))
 
     if args.json:

@@ -62,6 +62,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 from repro.channels.packets import Packet
 from repro.ioa.exploration import (
     _FIELD_MASK,
+    _S_DEL,
     _S_INJ,
     _S_R2T,
     _S_RID,
@@ -78,10 +79,6 @@ __all__ = [
     "TypeOkProperty",
     "make_property",
 ]
-
-# The checker packs a sixth field -- the saturating delivered count --
-# above the serial kernel's five (see repro.checker.engine).
-_S_DEL = 5 * (_S_RID)  # _S_RID == _FIELD_BITS
 
 
 @dataclass(frozen=True)

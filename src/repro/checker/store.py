@@ -9,7 +9,7 @@ layout, without compaction: runs stay small enough that a handful of
 binary searches beat maintaining a merge).
 
 Records are the shard-local **packed configuration integers** (six
-24-bit fields, see :mod:`repro.checker.engine`), stored as fixed-width
+24-bit fields, see :mod:`repro.ioa.exploration`), stored as fixed-width
 big-endian byte strings.  Packed configurations are exact identities --
 two distinct abstract configurations never pack to the same int within
 a shard -- so disk-backed membership is bit-identical to the RAM

@@ -19,8 +19,9 @@ of that model that every other layer of the reproduction builds on:
   operator (output-to-input wiring, nesting, fair scheduling).
 * :mod:`repro.ioa.exploration` -- reachable-state enumeration used by
   the Theorem 2.1 boundness analysis.
-* :mod:`repro.ioa.exploration_parallel` -- the sharded, checkpointing
-  exploration engine behind ``explore_station_states(parallel=...)``.
+* :mod:`repro.ioa.exploration_parallel` -- the one level-synchronous
+  BFS driver (sharded, checkpointing) behind exploration and the
+  checker.
 """
 
 from repro.ioa.actions import (

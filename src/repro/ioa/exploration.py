@@ -64,24 +64,24 @@ count the underlying per-transition memo; delta-memo hits bypass even
 that lookup, so hit counts are lower than the number of generated
 successors.
 
-Parallel exploration and checkpoint/resume live in
-:mod:`repro.ioa.exploration_parallel`; the ``parallel=`` /
-``checkpoint_*`` arguments of :func:`explore_station_states` dispatch
-there.
+This module holds the interned search and the result types.  The BFS
+itself -- one level-synchronous driver shared with the checker, with
+sharding and checkpoint/resume -- lives in
+:mod:`repro.ioa.exploration_parallel`; :func:`explore_station_states`
+runs it.
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.ioa.actions import ActionType, Direction, receive_pkt, send_msg
 from repro.ioa.automaton import IOAutomaton
 
-# Packed-configuration layout: five fields of _FIELD_BITS each --
-# sender id, receiver id, t->r set id, r->t set id, injected count.
+# Packed-configuration layout: fields of _FIELD_BITS each -- sender
+# id, receiver id, t->r set id, r->t set id, injected count, and (only
+# when a checked property reads it) a saturating delivered count.
 # 24 bits per field caps every intern table at ~16.7M entries, far
 # beyond any exploration budget this library runs, and keeps a packed
 # configuration within a few big-int limbs.
@@ -91,6 +91,7 @@ _S_RID = _FIELD_BITS
 _S_T2R = 2 * _FIELD_BITS
 _S_R2T = 3 * _FIELD_BITS
 _S_INJ = 4 * _FIELD_BITS
+_S_DEL = 5 * _FIELD_BITS
 _ONE_INJ = 1 << _S_INJ
 _PAIR_MASK = (1 << (2 * _FIELD_BITS)) - 1
 
@@ -105,12 +106,13 @@ class ExplorationCapacityError(RuntimeError):
 
     Attributes:
         partial: a truncated :class:`ExplorationResult` covering the
-            work completed before the overflow (``None`` when the
-            raising engine could not assemble one).
-        levels_completed: BFS levels fully expanded (level-synchronous
-            engines only; the serial FIFO kernel reports ``None``).
-        configurations_seen: configurations visited before the
+            work completed before the overflow (exploration only;
+            ``None`` for the checker, or when the shards could not
+            assemble one).
+        levels_completed: BFS levels fully expanded before the
             overflow.
+        configurations_seen: configurations visited before the
+            overflow, counting the one whose expansion overflowed.
     """
 
     def __init__(
@@ -199,16 +201,15 @@ class _InternedSearch:
     """
 
     __slots__ = (
-        "sender", "receiver", "alphabet", "result",
+        "sender", "receiver", "alphabet",
         "sender_fast", "receiver_fast",
         "sender_ids", "sender_snaps", "sender_keys",
         "receiver_ids", "receiver_snaps", "receiver_keys",
         "value_ids", "values", "value_id_by_objid", "_value_refs",
-        "pv_t2r", "pv_r2t",
         "set_ids", "set_members", "set_extend",
         "ready_memo", "msg_memo", "out_memo", "sender_rcv_memo",
         "receiver_rcv_memo",
-        "memo_hits", "memo_misses", "dup_skipped",
+        "memo_hits", "memo_misses",
     )
 
     def __init__(
@@ -216,12 +217,10 @@ class _InternedSearch:
         sender: IOAutomaton,
         receiver: IOAutomaton,
         alphabet: List[Hashable],
-        result: ExplorationResult,
     ) -> None:
         self.sender = sender.clone()
         self.receiver = receiver.clone()
         self.alphabet = alphabet
-        self.result = result
         # Direct-hook fast path (same gating idea as the engine's
         # COUNTS-mode dispatch): when a station class keeps the base
         # SenderStation/ReceiverStation plumbing, transitions talk to
@@ -255,8 +254,6 @@ class _InternedSearch:
         # memoised object so CPython cannot recycle its id.
         self.value_id_by_objid: Dict[int, int] = {}
         self._value_refs: List[Hashable] = []
-        self.pv_t2r = result.packet_values[Direction.T2R]
-        self.pv_r2t = result.packet_values[Direction.R2T]
         self.set_ids: Dict[Tuple[int, ...], int] = {(): 0}
         self.set_members: List[Tuple[int, ...]] = [()]
         self.set_extend: Dict[Tuple[int, int], int] = {}
@@ -265,10 +262,11 @@ class _InternedSearch:
         self.msg_memo: Dict[Tuple[int, int], int] = {}
         self.out_memo: Dict[int, Optional[Tuple[int, int]]] = {}
         self.sender_rcv_memo: Dict[Tuple[int, int], int] = {}
-        self.receiver_rcv_memo: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]] = {}
+        self.receiver_rcv_memo: Dict[
+            Tuple[int, int], Tuple[int, Tuple[int, ...], int]
+        ] = {}
         self.memo_hits = 0
         self.memo_misses = 0
-        self.dup_skipped = 0
 
     # -- interning ------------------------------------------------------
     def _guard(self, next_id: int) -> int:
@@ -371,9 +369,16 @@ class _InternedSearch:
         self.set_extend[(set_id, value_id)] = new_id
         return new_id
 
-    # Hooks for subclasses that maintain parallel per-id tables (the
-    # sharded engine adds content digests); the serial kernel pays one
-    # no-op call per *new* id only.
+    def intern_value_set(self, values: Iterable[Hashable]) -> int:
+        """Intern a set of packet values by folding extensions."""
+        set_id = 0
+        for value in values:
+            set_id = self.extend_set(set_id, self.intern_value(value))
+        return set_id
+
+    # Hooks for the subclass that maintains parallel per-id tables (the
+    # sharded driver adds content digests); a lone shard pays one no-op
+    # call per *new* id only.
     def on_new_sender(self, sid: int) -> None:
         pass
 
@@ -439,7 +444,6 @@ class _InternedSearch:
             else:
                 sender = self._load_sender(sid)
                 sender.on_packet_sent(packet)
-                self.result.packet_values[Direction.T2R].add(packet)
                 transition = (
                     self._intern_sender_key(
                         (sender.current_packet, sender.protocol_fields())
@@ -453,7 +457,6 @@ class _InternedSearch:
                 transition = None
             else:
                 sender.perform_output(output)
-                self.result.packet_values[Direction.T2R].add(output.packet)
                 transition = (
                     self.intern_sender(sender),
                     self.intern_value(output.packet),
@@ -484,17 +487,18 @@ class _InternedSearch:
 
     def receiver_after_rcv(
         self, rid: int, value_id: int
-    ) -> Tuple[int, Tuple[int, ...]]:
+    ) -> Tuple[int, Tuple[int, ...], int]:
         """Deliver a value to the receiver and flush its outputs.
 
         Returns ``(successor id, value ids of the r->t packets the
-        flush emitted)``.  The engine
+        flush emitted, messages the flush delivered)``.  The engine
         (:meth:`repro.datalink.system.DataLinkSystem.pump_receiver`)
         always drains the receiver's output queues before anything else
         can observe them, so transient queue states are engine
         artifacts, not protocol states; flushing here keeps them out of
         the ``k_r`` count (without it, ack queues of every length
-        register as distinct states and the count diverges).
+        register as distinct states and the count diverges).  The
+        delivery count feeds the checker's delivered field.
         """
         key = (rid, value_id)
         memo = self.receiver_rcv_memo.get(key)
@@ -504,6 +508,7 @@ class _InternedSearch:
         self.memo_misses += 1
         receiver = self.receiver
         emitted: List[int] = []
+        delivered = 0
         if self.receiver_fast:
             deliveries_key, outgoing_key, fields = self.receiver_keys[rid]
             deliveries = receiver._deliveries
@@ -522,13 +527,13 @@ class _InternedSearch:
             # queue more output).
             while True:
                 if deliveries:
+                    delivered += 1
                     receiver.messages_delivered += 1
                     receiver.on_delivered(deliveries.popleft())
                 elif outgoing:
                     packet = outgoing.popleft()
                     vid = by_objid.get(id(packet))
                     if vid is None:
-                        self.pv_r2t.add(packet)
                         vid = self.intern_value(packet)
                         by_objid[id(packet)] = vid
                         self._value_refs.append(packet)
@@ -540,6 +545,7 @@ class _InternedSearch:
             memo = (
                 self._intern_receiver_key(((), (), receiver.protocol_fields())),
                 tuple(emitted),
+                delivered,
             )
         else:
             receiver.restore(self.receiver_snaps[rid])
@@ -552,9 +558,10 @@ class _InternedSearch:
                     break
                 receiver.perform_output(output)
                 if output.type is ActionType.SEND_PKT:
-                    self.result.packet_values[Direction.R2T].add(output.packet)
                     emitted.append(self.intern_value(output.packet))
-            memo = (self.intern_receiver(receiver), tuple(emitted))
+                elif output.type is ActionType.RECEIVE_MSG:
+                    delivered += 1
+            memo = (self.intern_receiver(receiver), tuple(emitted), delivered)
         self.receiver_rcv_memo[key] = memo
         return memo
 
@@ -581,9 +588,14 @@ class _InternedSearch:
         )
 
     def build_deliver_deltas(
-        self, rid: int, t2r: int, r2t: int
+        self, rid: int, t2r: int, r2t: int,
+        delivered: int = 0, del_cap: int = 0,
     ) -> Tuple[int, ...]:
-        """Deltas for delivering each t->r value to the receiver."""
+        """Deltas for delivering each t->r value to the receiver.
+
+        With a nonzero ``del_cap`` each delta also advances the
+        delivered field from ``delivered``, saturating at ``del_cap``.
+        """
         deltas = []
         rcv_get = self.receiver_rcv_memo.get
         extend_get = self.set_extend.get
@@ -593,7 +605,7 @@ class _InternedSearch:
                 memo = self.receiver_after_rcv(rid, vid)
             else:
                 self.memo_hits += 1
-            new_rid, emitted = memo
+            new_rid, emitted, count = memo
             new_r2t = r2t
             for emitted_id in emitted:
                 extended = extend_get((new_r2t, emitted_id))
@@ -601,9 +613,10 @@ class _InternedSearch:
                     extended if extended is not None
                     else self.extend_set(new_r2t, emitted_id)
                 )
-            deltas.append(
-                ((new_rid - rid) << _S_RID) + ((new_r2t - r2t) << _S_R2T)
-            )
+            delta = ((new_rid - rid) << _S_RID) + ((new_r2t - r2t) << _S_R2T)
+            if del_cap:
+                delta += (min(delivered + count, del_cap) - delivered) << _S_DEL
+            deltas.append(delta)
         return tuple(deltas)
 
     def build_ack_deltas(self, sid: int, r2t: int) -> Tuple[int, ...]:
@@ -612,11 +625,6 @@ class _InternedSearch:
             (self.sender_after_rcv(sid, vid) - sid)
             for vid in self.set_members[r2t]
         )
-
-
-#: The ``engine=`` choices of the BFS entry points (exploration and
-#: the checker).  Both name the interpreted loops.
-BFS_ENGINES = ("auto", "interpreted")
 
 
 def explore_station_states(
@@ -629,7 +637,6 @@ def explore_station_states(
     checkpoint_every: int = 0,
     checkpoint_dir: Optional[str] = None,
     resume: bool = True,
-    engine: str = "auto",
 ) -> ExplorationResult:
     """Enumerate station states reachable under an adversarial channel.
 
@@ -644,45 +651,37 @@ def explore_station_states(
             saturate at small values.
         max_configurations: exploration budget; when exceeded the
             result is marked ``truncated``.
-        parallel: ``>= 2`` routes through the sharded level-synchronous
-            engine (:mod:`repro.ioa.exploration_parallel`), which
-            spreads the search across worker processes when more than
-            one CPU is available.  ``0``/``1`` is the serial path.
+        parallel: ``>= 2`` routes through the sharded entry
+            (:func:`repro.ioa.exploration_parallel.explore_station_states_parallel`),
+            which spreads the search across worker processes when more
+            than one CPU is available.  ``0``/``1`` is the serial path.
         checkpoint_every: snapshot the search every N frontier levels
-            (requires the parallel engine; implies it even for
-            ``parallel <= 1``, which then runs the level-synchronous
-            engine in-process).  ``0`` disables checkpointing.
+            (routes through the sharded entry even for
+            ``parallel <= 1``, which then runs one in-process shard).
+            ``0`` disables checkpointing.
         checkpoint_dir: directory for checkpoint files; defaults to
             ``<result cache dir>/exploration`` when checkpointing is
             enabled.  Passing a directory enables checkpointing.
         resume: continue from a matching checkpoint instead of
-            restarting (parallel engine only).
-        engine: BFS tier, one of :data:`BFS_ENGINES`.  Both run the
-            interpreted loops, the only BFS tier; the keyword is kept
-            for callers that name it.
+            restarting (checkpointed runs only).
 
     Returns:
         An :class:`ExplorationResult` with the visited station states.
 
-    The serial path truncates at exactly ``max_configurations``
-    visited configurations, in BFS-FIFO order; the parallel engine
-    truncates at frontier-level granularity (see
-    :func:`repro.ioa.exploration_parallel.explore_station_states_parallel`),
-    so truncated parallel results are deterministic for any worker
-    count but can exceed the cap by up to one level.  Non-truncated
-    results are identical on every path.
+    Every path runs the one level-synchronous BFS driver of
+    :mod:`repro.ioa.exploration_parallel`.  The serial path truncates
+    at exactly ``max_configurations`` visited configurations, in
+    BFS-FIFO order: it expands only a prefix of the level that would
+    overrun the budget.  The sharded entry truncates at level barriers,
+    so truncated sharded results are deterministic for any worker count
+    but can exceed the cap by up to one level.  Non-truncated results
+    are identical on every path.
     """
-    if engine not in BFS_ENGINES:
-        raise ValueError(
-            f"engine must be one of {BFS_ENGINES}, got {engine!r}"
-        )
+    from repro.ioa import exploration_parallel as driver
+
     if (parallel and parallel > 1) or checkpoint_every > 0 \
             or checkpoint_dir is not None:
-        from repro.ioa.exploration_parallel import (
-            explore_station_states_parallel,
-        )
-
-        return explore_station_states_parallel(
+        return driver.explore_station_states_parallel(
             sender,
             receiver,
             message_alphabet,
@@ -692,162 +691,17 @@ def explore_station_states(
             checkpoint_every=checkpoint_every,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
-            engine=engine,
         )
-
-    started = time.perf_counter()
-    alphabet: List[Hashable] = list(message_alphabet)
-    result = ExplorationResult(packet_values={Direction.T2R: set(),
-                                              Direction.R2T: set()})
-    search = _InternedSearch(sender, receiver, alphabet, result)
-
-    initial = (
-        search.intern_sender(sender)
-        | (search.intern_receiver(receiver) << _S_RID)
-        # empty t->r / r->t value sets (set id 0), zero injected
+    return driver._explore(
+        sender,
+        receiver,
+        message_alphabet,
+        max_messages=max_messages,
+        max_configurations=max_configurations,
+        workers=1,
+        use_processes=False,
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=None,
+        resume=resume,
+        exact=True,
     )
-    seen: Set[int] = {initial}
-    queue: deque = deque([initial])
-
-    # Combined delta memos; see the module docstring.  Keys pack the
-    # fields each move class depends on into one int.
-    inject_memo: Dict[int, Tuple[int, ...]] = {}
-    output_memo: Dict[int, Optional[int]] = {}
-    deliver_memo: Dict[int, Tuple[int, ...]] = {}
-    ack_memo: Dict[int, Tuple[int, ...]] = {}
-
-    visited_sids: Set[int] = set()
-    visited_rids: Set[int] = set()
-    visited = 0
-    dup_skipped = 0
-
-    # Local bindings for the hot loop.
-    mask = _FIELD_MASK
-    seen_add = seen.add
-    queue_append = queue.append
-    queue_popleft = queue.popleft
-    mark_sid = visited_sids.add
-    mark_rid = visited_rids.add
-    inject_get = inject_memo.get
-    output_get = output_memo.get
-    deliver_get = deliver_memo.get
-    ack_get = ack_memo.get
-
-    def finalise() -> None:
-        result.configurations = visited
-        sender_keys = search.sender_keys
-        receiver_keys = search.receiver_keys
-        result.sender_states = {sender_keys[sid] for sid in visited_sids}
-        result.receiver_states = {
-            receiver_keys[rid] for rid in visited_rids
-        }
-        # Exact pair count over every configuration reached (including
-        # still-queued ones): a projection of `seen` onto the station
-        # id fields, which intern protocol-state keys one-to-one.
-        result.pair_count = len({cfg & _PAIR_MASK for cfg in seen})
-        elapsed = time.perf_counter() - started
-        result.perf = {
-            "elapsed_s": round(elapsed, 6),
-            "configs_per_sec": configs_per_sec(visited, elapsed),
-            "memo_hits": search.memo_hits,
-            "memo_misses": search.memo_misses,
-            "duplicate_successors_skipped": search.dup_skipped + dup_skipped,
-            "interned_sender_states": len(search.sender_keys),
-            "interned_receiver_states": len(search.receiver_keys),
-            "interned_packet_values": len(search.values),
-            "interned_value_sets": len(search.set_members),
-        }
-
-    try:
-        while queue:
-            if visited >= max_configurations:
-                result.truncated = True
-                break
-            cfg = queue_popleft()
-            visited += 1
-            sid = cfg & mask
-            rid = (cfg >> _S_RID) & mask
-            t2r = (cfg >> _S_T2R) & mask
-            r2t = (cfg >> _S_R2T) & mask
-            mark_sid(sid)
-            mark_rid(rid)
-
-            # 1. Environment injects a new message.  The environment
-            # modelled here is the paper's one-outstanding-message
-            # regime: it submits only when the sender signals readiness
-            # (stations expose this via ``ready_for_message``; automata
-            # without the attribute accept submissions at any time).
-            if (cfg >> _S_INJ) < max_messages:
-                deltas = inject_get(sid)
-                if deltas is None:
-                    deltas = search.build_inject_deltas(sid)
-                    inject_memo[sid] = deltas
-                for delta in deltas:
-                    successor = cfg + delta
-                    if successor in seen:
-                        dup_skipped += 1
-                    else:
-                        seen_add(successor)
-                        queue_append(successor)
-
-            # 2. Sender fires its enabled output (a send_pkt^{t->r}).
-            key = sid | (t2r << _FIELD_BITS)
-            delta = output_get(key, _MISSING)
-            if delta is _MISSING:
-                delta = search.build_output_delta(sid, t2r)
-                output_memo[key] = delta
-            if delta is not None:
-                successor = cfg + delta
-                if successor in seen:
-                    dup_skipped += 1
-                else:
-                    seen_add(successor)
-                    queue_append(successor)
-
-            # 3. Channel delivers some value to the receiver
-            #    (set-abstraction: the value stays available
-            #    afterwards).  The receiver's resulting outputs are
-            #    flushed atomically, mirroring the engine's pump
-            #    discipline.
-            if t2r:
-                key = (
-                    rid | (t2r << _FIELD_BITS)
-                    | (r2t << (2 * _FIELD_BITS))
-                )
-                deltas = deliver_get(key)
-                if deltas is None:
-                    deltas = search.build_deliver_deltas(rid, t2r, r2t)
-                    deliver_memo[key] = deltas
-                for delta in deltas:
-                    successor = cfg + delta
-                    if successor in seen:
-                        dup_skipped += 1
-                    else:
-                        seen_add(successor)
-                        queue_append(successor)
-
-            # 4. Channel delivers some value to the sender.
-            if r2t:
-                key = sid | (r2t << _FIELD_BITS)
-                deltas = ack_get(key)
-                if deltas is None:
-                    deltas = search.build_ack_deltas(sid, r2t)
-                    ack_memo[key] = deltas
-                for delta in deltas:
-                    successor = cfg + delta
-                    if successor in seen:
-                        dup_skipped += 1
-                    else:
-                        seen_add(successor)
-                        queue_append(successor)
-    except ExplorationCapacityError as exc:
-        # Don't discard the work done so far: finalise what was visited
-        # into a truncated partial result and attach it to the error.
-        result.truncated = True
-        finalise()
-        exc.partial = result
-        exc.configurations_seen = visited
-        raise
-
-    finalise()
-    return result

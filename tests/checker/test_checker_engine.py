@@ -190,7 +190,7 @@ class TestCheckpointResume:
             == reference.stats["configurations"]
 
     def test_checkpoint_key_separates_properties(self, tmp_path):
-        from repro.checker import checker_checkpoint_key
+        from repro.ioa.exploration_parallel import checkpoint_key
 
         sender, receiver = make_sequence_protocol()
         kwargs = dict(
@@ -198,10 +198,10 @@ class TestCheckpointResume:
             backend="in-process", track_parents=False, del_cap=0,
             capacity=None, store="memory",
         )
-        one = checker_checkpoint_key(
+        one = checkpoint_key(
             sender, receiver, prop_spec="type-ok", **kwargs
         )
-        two = checker_checkpoint_key(
+        two = checkpoint_key(
             sender, receiver, prop_spec="header-bound=2", **kwargs
         )
         assert one != two

@@ -7,7 +7,9 @@ Satellite guarantees of the checker PR:
   unpickling crash, never silently wrong state;
 * :class:`~repro.ioa.exploration.ExplorationCapacityError` carries the
   partial result (levels completed, configurations seen) on both the
-  serial and the sharded engines.
+  serial and the sharded entries, and every single-shard entry --
+  serial exploration, one in-process shard, the checker -- reports the
+  same progress.
 """
 
 import logging
@@ -123,8 +125,7 @@ class TestCapacityPartials:
         assert err.partial.truncated is True
         assert err.partial.configurations >= 1
         assert err.configurations_seen == err.partial.configurations
-        # The serial FIFO kernel has no level structure.
-        assert err.levels_completed is None
+        assert err.levels_completed >= 1
 
     def test_parallel_engine_attaches_partial(self, monkeypatch):
         import repro.ioa.exploration as exploration
@@ -140,6 +141,33 @@ class TestCapacityPartials:
         assert err.partial is not None
         assert err.partial.truncated is True
         assert err.levels_completed is not None
-        assert err.levels_completed >= 0
+        assert err.levels_completed >= 1
+        assert err.configurations_seen >= 1
         assert err.configurations_seen == err.partial.configurations
         assert len(err.partial.sender_states) >= 1
+
+    def test_single_shard_entries_report_equal_progress(self, monkeypatch):
+        import repro.ioa.exploration as exploration
+        from repro.checker import check_protocol
+
+        monkeypatch.setattr(exploration, "_FIELD_MASK", 3)
+        progress = []
+        for explore in (
+            explore_station_states,
+            lambda *args, **kwargs: explore_station_states_parallel(
+                *args, workers=1, use_processes=False, **kwargs
+            ),
+        ):
+            with pytest.raises(ExplorationCapacityError) as excinfo:
+                explore(*make_sequence_protocol(), ["m"], max_messages=3)
+            err = excinfo.value
+            progress.append((err.levels_completed, err.configurations_seen))
+        checked = check_protocol(
+            *make_sequence_protocol(), ["m"], "type-ok", max_messages=3
+        )
+        assert checked.verdict == "budget-exhausted"
+        progress.append(
+            (checked.stats["levels"], checked.stats["configurations"])
+        )
+        assert progress[0][1] >= 1
+        assert progress == [progress[0]] * 3

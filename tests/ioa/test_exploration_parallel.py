@@ -15,6 +15,7 @@ The engine's contract (see :mod:`repro.ioa.exploration_parallel`):
   generations.
 """
 
+import functools
 import os
 
 import pytest
@@ -142,9 +143,9 @@ class TestSerialParallelEquivalence:
         routed = explore_station_states(
             sender, receiver, ["m"], max_messages=3, parallel=2
         )
-        assert "engine" in routed.perf
+        assert routed.perf["engine"]["workers_requested"] == 2
         serial = explore_serial(make_alternating_bit, ["m"], 3)
-        assert "engine" not in serial.perf
+        assert serial.perf["engine"]["workers_requested"] == 1
         assert observables(routed) == observables(serial)
 
     def test_theorem21_verdict_matches_serial(self):
@@ -165,6 +166,39 @@ class TestSerialParallelEquivalence:
         assert parallel.holds == serial.holds
         assert parallel.boundness == serial.boundness
         assert parallel.state_product == serial.state_product
+
+
+class TestTruncationSemantics:
+    """The serial entry cuts in BFS-FIFO order at exactly the budget;
+    every sharded path cuts at the level barrier past it."""
+
+    @staticmethod
+    def cut(explore):
+        result = explore(
+            *make_capacity_flooding(3, 2), ["m0", "m1"],
+            max_messages=3, max_configurations=1000,
+        )
+        return (result.configurations, result.truncated, result.k_t,
+                result.k_r, result.pair_count)
+
+    def test_serial_cut_is_exact(self):
+        assert self.cut(explore_station_states) == (1000, True, 22, 66, 348)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"workers": 1, "use_processes": False},
+            {"workers": 2, "use_processes": True},
+        ],
+        ids=["in-process", "process"],
+    )
+    def test_sharded_cut_is_at_the_level_barrier(self, kwargs):
+        explore = functools.partial(explore_station_states_parallel, **kwargs)
+        assert self.cut(explore) == (1025, True, 22, 66, 353)
+
+    def test_parallel_switch_cuts_at_the_level_barrier(self):
+        explore = functools.partial(explore_station_states, parallel=2)
+        assert self.cut(explore) == (1025, True, 22, 66, 353)
 
 
 class TestBackendSelection:
