@@ -10,8 +10,9 @@ That bound is the headline number here (``invariant_overhead_x``).
 Workloads:
 
 * ``bfs_capflood32_60k_plain_s`` -- the baseline: plain state-counting
-  BFS (``explore_station_states_parallel``, one in-process shard) over
-  the capacity-flood(3,2) system, 60k-configuration budget;
+  BFS (``explore_station_states_parallel``, cut at the level barrier
+  like the checker) over the capacity-flood(3,2) system,
+  60k-configuration budget;
 * ``check_capflood32_60k_typeok_s`` -- the identical traversal with
   the ``type-ok`` invariant scanned at every level barrier;
 * ``check_capflood32_60k_typeok_disk_s`` -- same, with the
@@ -50,7 +51,7 @@ def bfs_plain():
     sender, receiver = make_capacity_flooding(3, 2)
     return explore_station_states_parallel(
         sender, receiver, ["m0", "m1"], max_messages=3,
-        max_configurations=60_000, workers=1, use_processes=False,
+        max_configurations=60_000,
     )
 
 

@@ -1,20 +1,15 @@
-"""Benchmark: sharded exploration against its pre-engine baseline.
+"""Benchmark: serial exploration against its pre-engine baseline.
 
-Two capacity-flood searches bracket the engine's regimes:
+Two capacity-flood searches bracket the search's regimes:
 
 * ``explore_capflood21_120k`` -- deep and narrow (tens of thousands of
-  tiny BFS levels): the serial-kernel rewrite carries the speedup and
-  the sharded engine must stay out of the way, so its worker rows pin
-  ``use_processes=False`` (the in-process single-shard driver; process
-  barriers on 40k levels would measure pipe latency, not exploration);
-* ``explore_capflood32_60k`` -- shorter and wider (about 2k levels):
-  the 4-worker row lets the engine choose its backend (processes on a
-  multi-CPU host, in-process otherwise) and the blob records which.
+  tiny BFS levels);
+* ``explore_capflood32_60k`` -- shorter and wider (about 2k levels).
 
 ``BEFORE`` holds the baseline wall times (seconds, best of 5) of the
 identical workloads on commit ca8fa6e (the interned serial kernel
-before this PR's combined-delta memos, direct protocol hooks and
-sharded engine), measured on the same container class as CI.
+before its combined-delta memos and direct protocol hooks), measured
+on the same container class as CI.
 ``test_emit_timings_blob`` re-times everything on the current tree and
 writes the comparison to ``BENCH_explore.json``.
 """
@@ -24,7 +19,6 @@ import time
 
 from repro.datalink.flooding import make_capacity_flooding
 from repro.ioa.exploration import explore_station_states
-from repro.ioa.exploration_parallel import explore_station_states_parallel
 
 BLOB_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_explore.json"
 
@@ -33,36 +27,23 @@ BEFORE = {
     "explore_capflood32_60k_s": 0.3638,
 }
 
-# The tentpole target is >=2x for the 4-worker row against the
-# baseline serial path at equal max_configurations; the committed
-# BENCH_explore.json records the measured ratios.  The in-test floors
-# are looser because shared CI runners are noisy.
+# The committed BENCH_explore.json records the measured ratios.  The
+# in-test floor is looser because shared CI runners are noisy.
 MIN_SPEEDUP = {
-    "explore_capflood21_120k_workers4_s": 1.6,
     "explore_capflood21_120k_serial_s": 1.6,
 }
 
 
-def capflood21(**kwargs):
+def capflood21():
     sender, receiver = make_capacity_flooding(2, 1)
-    if kwargs:
-        return explore_station_states_parallel(
-            sender, receiver, ["m"],
-            max_messages=2, max_configurations=120_000, **kwargs,
-        )
     return explore_station_states(
         sender, receiver, ["m"],
         max_messages=2, max_configurations=120_000,
     )
 
 
-def capflood32(**kwargs):
+def capflood32():
     sender, receiver = make_capacity_flooding(3, 2)
-    if kwargs:
-        return explore_station_states_parallel(
-            sender, receiver, ["m0", "m1"],
-            max_messages=3, max_configurations=60_000, **kwargs,
-        )
     return explore_station_states(
         sender, receiver, ["m0", "m1"],
         max_messages=3, max_configurations=60_000,
@@ -70,23 +51,13 @@ def capflood32(**kwargs):
 
 
 WORKLOADS = {
-    "explore_capflood21_120k_serial_s": lambda: capflood21(),
-    "explore_capflood21_120k_workers2_s": lambda: capflood21(
-        workers=2, use_processes=False
-    ),
-    "explore_capflood21_120k_workers4_s": lambda: capflood21(
-        workers=4, use_processes=False
-    ),
-    "explore_capflood32_60k_serial_s": lambda: capflood32(),
-    "explore_capflood32_60k_workers4_s": lambda: capflood32(workers=4),
+    "explore_capflood21_120k_serial_s": capflood21,
+    "explore_capflood32_60k_serial_s": capflood32,
 }
 
 BASELINE_OF = {
     "explore_capflood21_120k_serial_s": "explore_capflood21_120k_s",
-    "explore_capflood21_120k_workers2_s": "explore_capflood21_120k_s",
-    "explore_capflood21_120k_workers4_s": "explore_capflood21_120k_s",
     "explore_capflood32_60k_serial_s": "explore_capflood32_60k_s",
-    "explore_capflood32_60k_workers4_s": "explore_capflood32_60k_s",
 }
 
 
@@ -108,25 +79,6 @@ def test_bench_capflood21_serial(benchmark):
     assert exploration.configurations == 120_000
 
 
-def test_bench_capflood21_workers4(benchmark):
-    exploration = benchmark.pedantic(
-        WORKLOADS["explore_capflood21_120k_workers4_s"],
-        rounds=1, iterations=1,
-    )
-    assert exploration.truncated
-    # Level-closure truncation may overshoot by at most one level.
-    assert exploration.configurations >= 120_000
-
-
-def test_bench_capflood32_workers4(benchmark):
-    exploration = benchmark.pedantic(
-        WORKLOADS["explore_capflood32_60k_workers4_s"],
-        rounds=1, iterations=1,
-    )
-    assert exploration.configurations >= 60_000
-    assert "engine" in exploration.perf
-
-
 def test_emit_timings_blob(write_bench_blob):
     """Before/after comparison, committed as BENCH_explore.json."""
     after = {
@@ -136,7 +88,6 @@ def test_emit_timings_blob(write_bench_blob):
         name: round(BEFORE[BASELINE_OF[name]] / max(after[name], 1e-9), 2)
         for name in WORKLOADS
     }
-    engine = capflood32(workers=4).perf["engine"]
     # Aggregate trend: each measured workload weighted against its own
     # baseline (several configurations share one baseline run).
     aggregate = round(
@@ -151,7 +102,6 @@ def test_emit_timings_blob(write_bench_blob):
         "after_s": after,
         "speedup_x": aggregate,
         "speedup_x_by_workload": speedups,
-        "engine_capflood32_workers4": engine,
     }
     write_bench_blob(BLOB_PATH.name, blob)
     for name, floor in MIN_SPEEDUP.items():

@@ -20,8 +20,7 @@ Four cell kinds:
 * ``adversary`` -- a :class:`~repro.datalink.system.DataLinkSystem`
   run with registry-built channels and adversary, in ``COUNTS`` trace
   mode (the fast-path kernel: counters, no event materialisation);
-* ``exploration`` -- :func:`repro.ioa.exploration.explore_station_states`
-  on :func:`~repro.experiments.base.explore_workers` shards;
+* ``exploration`` -- :func:`repro.ioa.exploration.explore_station_states`;
 * ``backlog`` -- Theorem 4.1 backlog planting
   (:func:`repro.core.theorem41.probe_backlog_cost`, or the full
   dichotomy via :func:`repro.core.theorem41.run_dichotomy` when the
@@ -32,14 +31,13 @@ Delivery and backlog cells record the tier that ran (and, when
 ``auto`` fell back, the gate's refusal) in their telemetry.
 
 Determinism: everything random flows from the cell's task seed (already
-derived per shard via :func:`repro.runtime.seeds.derive_seed`); engine
-tier and worker count are execution configuration and never change a
-payload.
+derived per shard via :func:`repro.runtime.seeds.derive_seed`); the
+engine tier is execution configuration and never changes a payload.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.campaign.spec import (
     CELL_ADVERSARY,
@@ -187,12 +185,8 @@ def _adversary_observations(
 
 
 def _exploration_observations(
-    params: Dict[str, Any],
-    fast: bool,
-    seed: int,
-    explore_parallel: Any,
+    params: Dict[str, Any], fast: bool, seed: int
 ) -> Dict[str, Any]:
-    from repro.experiments.base import explore_workers
     from repro.ioa.actions import Direction
     from repro.ioa.exploration import explore_station_states
     from repro.campaign import registry
@@ -207,7 +201,6 @@ def _exploration_observations(
         list(scenario.get("alphabet", ["m"])),
         max_messages=int(scenario.get("max_messages", 2)),
         max_configurations=int(scenario.get("max_configurations", 20_000)),
-        parallel=explore_workers(explore_parallel),
     )
     headers = {
         packet.header for packet in exploration.packet_values[Direction.T2R]
@@ -227,16 +220,15 @@ def run_cell(
     fast: bool,
     seed: int,
     engine: str = "auto",
-    explore_parallel: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Run one compiled campaign cell; returns its JSON payload.
 
     ``params`` is the self-contained dict minted by
     :func:`repro.campaign.compiler.compile_campaign` (registry names +
     config + metric list), ``seed`` the cell's derived task seed.
-    ``engine``/``explore_parallel`` are execution configuration bound
-    by the scheduler, exactly as for the bespoke experiments: payloads
-    are identical across tiers and worker counts.
+    ``engine`` is execution configuration bound by the scheduler,
+    exactly as for the bespoke experiments: payloads are identical
+    across tiers.
     """
     from repro.campaign import registry
 
@@ -248,9 +240,7 @@ def run_cell(
     elif cell == CELL_ADVERSARY:
         observations = _adversary_observations(params, fast, seed)
     elif cell == CELL_EXPLORATION:
-        observations = _exploration_observations(
-            params, fast, seed, explore_parallel
-        )
+        observations = _exploration_observations(params, fast, seed)
     else:
         raise ValueError(f"unknown campaign cell kind {cell!r}")
 

@@ -55,16 +55,6 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
         help="worker processes (default 1 = serial in-process)",
     )
     parser.add_argument(
-        "--explore-parallel",
-        metavar="N",
-        type=int,
-        default=None,
-        help=(
-            "worker shards for exploration cells (default: "
-            "$REPRO_EXPLORE_WORKERS or serial)"
-        ),
-    )
-    parser.add_argument(
         "--engine",
         choices=TRIAL_ENGINES,
         default="auto",
@@ -108,8 +98,6 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.parallel < 1:
         parser.error("--parallel must be >= 1")
-    if args.explore_parallel is not None and args.explore_parallel < 0:
-        parser.error("--explore-parallel must be >= 0")
 
     try:
         spec = load_spec(args.spec)
@@ -132,7 +120,6 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
             cache=cache,
             timeout=args.timeout,
             reporter=reporter,
-            explore_parallel=args.explore_parallel,
             engine=args.engine,
         )
     except SpecError as exc:

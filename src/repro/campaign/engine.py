@@ -76,16 +76,15 @@ def run_campaign(
     timeout: Optional[float] = None,
     retries: int = 1,
     reporter=None,
-    explore_parallel: Optional[int] = None,
     engine: str = "auto",
 ) -> CampaignReport:
     """Run one campaign; returns its report.
 
     Arguments mirror :func:`repro.runtime.engine.run_experiments` --
     ``workers``/``cache``/``timeout``/``retries``/``reporter`` schedule
-    the run, ``engine``/``explore_parallel`` are execution
-    configuration threaded to the cells (bit-identical across tiers
-    and worker counts, hence outside task specs and cache keys).
+    the run, ``engine`` is execution configuration threaded to the
+    cells (bit-identical across tiers, hence outside task specs and
+    cache keys).
 
     Raises:
         TaskFailure: a cell failed after all retries.
@@ -106,7 +105,6 @@ def run_campaign(
             timeout=timeout,
             retries=retries,
             reporter=reporter,
-            explore_parallel=explore_parallel,
             engine=engine,
         )
         report.manifest["campaign"] = manifest_entry(spec, fast)
@@ -123,12 +121,10 @@ def run_campaign(
             f"engine must be one of {TRIAL_ENGINES}, got {engine!r}"
         )
     runner = None
-    if explore_parallel is not None or engine != "auto":
+    if engine != "auto":
         from repro.runtime.worker import execute
 
-        runner = functools.partial(
-            execute, explore_parallel=explore_parallel, engine=engine
-        )
+        runner = functools.partial(execute, engine=engine)
 
     specs = compile_campaign(spec, fast=fast, seed=seed)
     outcomes = run_tasks(

@@ -134,12 +134,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--max-configurations", type=int, default=200_000, metavar="N"
     )
-    parser.add_argument("--workers", type=int, default=1, metavar="N")
-    parser.add_argument(
-        "--processes",
-        action="store_true",
-        help="force one OS process per shard",
-    )
     parser.add_argument(
         "--capacity",
         type=int,
@@ -196,6 +190,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     alphabet = [part for part in args.alphabet.split(",") if part]
+    if not alphabet:
+        parser.error(
+            f"--alphabet {args.alphabet!r} names no message; give at "
+            "least one, e.g. --alphabet m"
+        )
 
     try:
         result = check_protocol(
@@ -205,8 +204,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             prop,
             max_messages=args.max_messages,
             max_configurations=args.max_configurations,
-            workers=args.workers,
-            use_processes=True if args.processes else None,
             trace=args.trace,
             replay=not args.no_replay,
             store=args.store,
@@ -217,8 +214,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             resume=not args.no_resume,
         )
     except ValueError as exc:
-        # e.g. a negative bound, or --processes with stations that do
-        # not pickle.
+        # e.g. a negative bound.
         parser.error(str(exc))
 
     if args.json:
@@ -245,9 +241,7 @@ def _print_human(result, system: str) -> None:
         f"search     {stats.get('configurations', '?')} configurations, "
         f"{stats.get('levels', '?')} levels, "
         f"{stats.get('elapsed_s', '?')}s "
-        f"[{engine.get('backend', '?')}, "
-        f"{engine.get('shards', '?')} shard(s), "
-        f"store={engine.get('store', '?')}]"
+        f"[store={engine.get('store', '?')}]"
     )
     if stats.get("capacity_error"):
         print(f"capacity   {stats['capacity_error']}")

@@ -1,16 +1,16 @@
-"""The bounded model checker over the level-synchronous BFS driver.
+"""The bounded model checker over the level-synchronous BFS.
 
 :func:`check_protocol` runs the one search of
 :mod:`repro.ioa.exploration_parallel` with a
 :class:`~repro.checker.properties.Property` plugged in: every newly
-adopted frontier is scanned, shard-locally, against the property, and
-the search stops at the first level barrier with a hit -- an invariant
-violation or a reachability target.  Because BFS levels are a property
-of the protocol alone, the verdict, the stop level, the set of hit
+adopted frontier is scanned against the property, and the search stops
+at the first level barrier with a hit -- an invariant violation or a
+reachability target.  Because BFS levels are a property of the
+protocol alone, the verdict, the stop level, the set of hit
 configurations and the canonically selected counterexample target are
-**identical for any shard count, any backend, any visited-set store,
-and across checkpoint resume** -- the same exactness argument as the
-state counts, extended to verdicts.
+**identical for any visited-set store and across checkpoint resume**
+-- the same exactness argument as the state counts, extended to
+verdicts.
 
 The bounding discipline is the paper's (and the CFSM literature's):
 ``max_messages`` bounds environment injections per path, ``capacity``
@@ -28,15 +28,14 @@ witnesses every true excess, because injections never exceed
 Counterexample path reconstruction records, per newly discovered
 configuration, a **canonical parent pointer**: among every proposal
 ``(parent digest, move class, argument rank)`` generated for the
-configuration at its discovery level -- across all shards -- the
-minimum is kept, so the reconstructed path is shard-count-invariant.
-Parents ride the level-barrier checkpoints (``trace="inline"``); the
-default ``trace="auto"`` runs the main search without parents and
-re-runs it (single shard, in process) with parents only when a hit is
-found, keeping the common no-hit search at plain-BFS cost.  The path
-is then re-executed through the faithful
-:class:`~repro.datalink.system.DataLinkSystem` / ``FullTraceSink``
-pipeline by :mod:`repro.checker.trace`.
+configuration at its discovery level the minimum is kept, so the
+reconstructed path does not depend on expansion order.  Parents ride
+the level-barrier checkpoints (``trace="inline"``); the default
+``trace="auto"`` runs the main search without parents and re-runs it
+with parents only when a hit is found, keeping the common no-hit
+search at plain-BFS cost.  The path is then re-executed through the
+faithful :class:`~repro.datalink.system.DataLinkSystem` /
+``FullTraceSink`` pipeline by :mod:`repro.checker.trace`.
 """
 
 from __future__ import annotations
@@ -54,30 +53,26 @@ from repro.checker.trace import Counterexample, TraceStep, replay_counterexample
 __all__ = ["check_protocol"]
 
 
-def _resolve_path(request_one: Callable[[int, Tuple], Any], num_shards: int,
+def _resolve_path(resolve: Callable[[int], Optional[Tuple]],
                   target_digest: int) -> List[TraceStep]:
     """Walk parent pointers from the target back to the seed.
 
-    Ownership is by ``digest % num_shards`` -- the routing rule -- so
-    every configuration on the path is resolved by the single shard
-    that discovered it.
+    ``resolve(digest)`` is :meth:`repro.ioa.exploration_parallel._BFS.resolve`.
     """
     steps: List[TraceStep] = []
     digest = target_digest
     for _ in range(1_000_000):
-        owner = digest % num_shards
-        response = request_one(owner, ("resolve", digest))
-        if not response["found"]:
+        found = resolve(digest)
+        if found is None:
             raise RuntimeError(
-                f"path reconstruction lost configuration digest {digest:#x} "
-                f"(owner shard {owner}); parent pointers are inconsistent"
+                f"path reconstruction lost configuration digest {digest:#x}; "
+                "parent pointers are inconsistent"
             )
-        steps.append(TraceStep(
-            label=response["label"], portable=response["portable"]
-        ))
-        if response["parent_digest"] is None:
+        portable, parent_digest, label = found
+        steps.append(TraceStep(label=label, portable=portable))
+        if parent_digest is None:
             break
-        digest = response["parent_digest"]
+        digest = parent_digest
     else:
         raise RuntimeError("path reconstruction exceeded 1,000,000 steps")
     steps.reverse()
@@ -96,8 +91,6 @@ def check_protocol(
     *,
     max_messages: int = 2,
     max_configurations: int = 200_000,
-    workers: int = 1,
-    use_processes: Optional[bool] = None,
     trace: str = "auto",
     replay: bool = True,
     store: str = "memory",
@@ -121,11 +114,6 @@ def check_protocol(
             ``budget-exhausted`` verdict (with partial-progress stats),
             as does an intern-table overflow (``stats["capacity_error"]``
             names it).  Negative bounds raise :class:`ValueError`.
-        workers: shard count (``>= 2`` with a multi-core host runs one
-            process per shard; see ``use_processes``).
-        use_processes: force (``True``) or forbid (``False``) the
-            process backend; default auto-detects like the exploration
-            engine.
         trace: counterexample reconstruction mode -- ``"auto"``
             (default: re-run with parent tracking only on a hit),
             ``"inline"`` (track parents during the main search; they
@@ -149,8 +137,8 @@ def check_protocol(
 
     Returns:
         A :class:`~repro.checker.result.CheckResult`; verdicts and
-        counterexample traces are identical for any worker count,
-        backend, store, and across checkpoint resume.
+        counterexample traces are identical for either store and
+        across checkpoint resume.
     """
     if isinstance(prop, str):
         prop = make_property(prop)
@@ -169,23 +157,20 @@ def check_protocol(
         "kind": prop.kind,
         "max_messages": max_messages,
         "max_configurations": max_configurations,
-        "workers": workers,
         "trace": trace,
         "store": store,
         "capacity": capacity,
     }
 
-    # The in-process search uses the station objects as transition
-    # scratch space and leaves them in arbitrary states; every phase
-    # (and the final replay) needs the pristine originals, so each
-    # search gets its own clones.
+    # The search uses the station objects as transition scratch space
+    # and leaves them in arbitrary states; every phase (and the final
+    # replay) needs the pristine originals, so each search gets its
+    # own clones.
     try:
         outcome = _run_search(
             sender.clone(), receiver.clone(), alphabet, prop,
             max_messages=max_messages,
             max_configurations=max_configurations,
-            workers=workers,
-            use_processes=use_processes,
             track_parents=(trace == "inline"),
             del_cap=del_cap,
             capacity=capacity,
@@ -210,7 +195,7 @@ def check_protocol(
             options=options,
         )
 
-    stats = _merge_stats(outcome)
+    stats = _search_stats(outcome)
 
     if outcome["target"] is None:
         verdict = "holds" if outcome["complete"] else "budget-exhausted"
@@ -226,15 +211,12 @@ def check_protocol(
     target_digest = outcome["target"][0]
     steps = outcome["path"]
     if steps is None and trace == "auto":
-        # Phase 2: the identical search (single in-process shard -- the
-        # canonical parent selection is shard-count-invariant) with
-        # parent tracking, stopping at the same hit barrier.
+        # Phase 2: the identical search in memory, with parent
+        # tracking, stopping at the same hit barrier.
         second = _run_search(
             sender.clone(), receiver.clone(), alphabet, prop,
             max_messages=max_messages,
             max_configurations=max_configurations,
-            workers=1,
-            use_processes=False,
             track_parents=True,
             del_cap=del_cap,
             capacity=capacity,
@@ -276,21 +258,7 @@ def check_protocol(
     )
 
 
-def _merge_stats(outcome: Dict[str, Any]) -> Dict[str, Any]:
-    totals = {
-        key: 0
-        for key in (
-            "visited", "seen", "dup_skipped", "forwarded", "pruned",
-            "scanned", "hits_found", "memo_hits", "memo_misses",
-            "interned_sender_states", "interned_receiver_states",
-            "interned_packet_values", "interned_value_sets",
-        )
-    }
-    stores = []
-    for finish in outcome["finishes"]:
-        for key in totals:
-            totals[key] += finish[key]
-        stores.append(finish["store"])
+def _search_stats(outcome: Dict[str, Any]) -> Dict[str, Any]:
     return {
         "levels": outcome["level"],
         "configurations": outcome["visited"],
@@ -299,6 +267,5 @@ def _merge_stats(outcome: Dict[str, Any]) -> Dict[str, Any]:
         "hits": len(outcome["hit_reports"]),
         "elapsed_s": outcome["elapsed_s"],
         "engine": outcome["engine"],
-        "stores": stores,
-        **totals,
+        **outcome["finish"],
     }

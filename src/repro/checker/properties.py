@@ -1,6 +1,6 @@
 """The property layer of the bounded checker.
 
-A :class:`Property` turns the sharded state-space exploration
+A :class:`Property` turns the level-synchronous state-space search
 (:mod:`repro.ioa.exploration_parallel`) into a query: instead of only
 counting station states, every newly discovered abstract configuration
 is tested against a predicate.  Two kinds exist:
@@ -14,14 +14,13 @@ is tested against a predicate.  Two kinds exist:
 
 Internally both reduce to the same question -- "is a *hit* (bad)
 configuration reachable?" -- so a property contributes exactly one
-thing: a shard-local batch scanner over packed configurations.
+thing: a batch scanner over packed configurations.
 
-Evaluation happens **shard-locally over the interned representation**:
-:meth:`Property.bind` is called once per shard with a
-:class:`BindContext` wrapping that shard's intern tables, and returns a
-``scan(batch) -> hits`` callable invoked at every level barrier with
-the shard's newly adopted frontier (a list of packed configuration
-ints).  Stock properties exploit the interning to make scans nearly
+Evaluation happens **over the interned representation**:
+:meth:`Property.bind` is called once per search with a
+:class:`BindContext` wrapping the search's intern tables, and returns
+a ``scan(batch) -> hits`` callable invoked at every level barrier with
+the newly adopted frontier (a list of packed configuration ints).  Stock properties exploit the interning to make scans nearly
 free: well-formedness is a function of the *ids* appearing in a
 configuration, so :class:`TypeOkProperty` classifies each state/value
 id once (watermark over the append-only tables) and the common
@@ -106,10 +105,10 @@ class ConfigView:
 
 
 class BindContext:
-    """Per-shard evaluation context handed to :meth:`Property.bind`.
+    """Per-search evaluation context handed to :meth:`Property.bind`.
 
-    Wraps one shard's interned search so scanners can resolve packed
-    ids to station keys, packet values and value-set members.
+    Wraps the interned search so scanners can resolve packed ids to
+    station keys, packet values and value-set members.
     """
 
     def __init__(self, search: Any, max_messages: int,
@@ -151,9 +150,6 @@ class Property:
     hit is a **bad** configuration -- an invariant violation or a
     reachability target -- and any reachable hit makes the verdict
     ``violated``.
-
-    Properties are shipped to shard worker processes, so instances
-    must be picklable (plain attributes only).
     """
 
     #: registry name; parametric properties render ``name=param``.
@@ -172,7 +168,7 @@ class Property:
         return self.name
 
     def bind(self, ctx: BindContext) -> Callable[[List[int]], List[int]]:
-        """Compile the property against one shard's intern tables.
+        """Compile the property against the search's intern tables.
 
         Returns ``scan(batch) -> hits``: called with each newly
         adopted frontier (packed ints, each exactly once per search),

@@ -8,15 +8,13 @@ membership is a binary search per run (the classic sorted-string-table
 layout, without compaction: runs stay small enough that a handful of
 binary searches beat maintaining a merge).
 
-Records are the shard-local **packed configuration integers** (six
-24-bit fields, see :mod:`repro.ioa.exploration`), stored as fixed-width
+Records are the **packed configuration integers** (six 24-bit
+fields, see :mod:`repro.ioa.exploration`), stored as fixed-width
 big-endian byte strings.  Packed configurations are exact identities --
 two distinct abstract configurations never pack to the same int within
-a shard -- so disk-backed membership is bit-identical to the RAM
+a search -- so disk-backed membership is bit-identical to the RAM
 ``set`` it replaces: same dedup decisions, same verdicts, same
-counterexamples.  (The per-shard files are "sorted-digest membership
-shards" in the sharded-BFS sense: each shard persists only the
-partition of the space its content digest routes to it.)
+counterexamples.
 
 :class:`LevelLog` is the append-only level-file side: one file per BFS
 level recording the configurations adopted into the frontier at that
@@ -26,8 +24,8 @@ not a queue: the in-flight frontier itself stays in RAM (one BFS level,
 the working set a level-synchronous search cannot avoid touching
 anyway).
 
-Both live under ``.repro-cache/checker/store/<key>/shard-<i>/`` and are
-wiped on construction: a store directory is a scratch materialisation
+Both live under ``.repro-cache/checker/store/<key>/`` and are wiped on
+construction: a store directory is a scratch materialisation
 of one search, not a cache.
 """
 
@@ -35,7 +33,6 @@ from __future__ import annotations
 
 import os
 import shutil
-from bisect import bisect_left
 from typing import Iterable, Iterator, List, Set
 
 __all__ = ["DiskVisitedStore", "LevelLog", "RECORD_BYTES"]
@@ -97,7 +94,7 @@ class _SortedRun(object):
 class DiskVisitedStore(object):
     """A set of packed configuration ints with bounded RAM residency.
 
-    Drop-in for the shard's ``seen: Set[int]`` (supports ``in``,
+    Drop-in for the search's ``seen: Set[int]`` (supports ``in``,
     ``add``, ``len``, iteration).  Additions land in a RAM buffer;
     when the buffer reaches ``spill_threshold`` entries it is sorted
     and appended to the directory as an immutable run file.  Lookup
@@ -105,8 +102,8 @@ class DiskVisitedStore(object):
     repeats), then runs newest-to-oldest.
 
     Args:
-        directory: per-shard scratch directory; **wiped** and recreated
-            by the constructor.
+        directory: the search's scratch directory; **wiped** and
+            recreated by the constructor.
         spill_threshold: buffer size, in configurations, that triggers
             a spill to disk.
     """
@@ -137,7 +134,7 @@ class DiskVisitedStore(object):
 
     def add(self, cfg: int) -> None:
         """Insert ``cfg``; the caller guarantees it is not present
-        (the shard kernels always test membership first)."""
+        (the search kernels always test membership first)."""
         if cfg >= _RECORD_CAP:
             raise ValueError(
                 f"configuration {cfg:#x} exceeds the {RECORD_BYTES}-byte "

@@ -63,9 +63,8 @@ def _canonical_step(step: TraceStep) -> Tuple:
     """Snapshot-free, order-free form of a step.
 
     Representative snapshots and channel-set orderings depend on which
-    shard discovered a state first; everything else is content.  Two
-    traces of the same abstract path canonicalise identically at any
-    shard count.
+    path discovered a state first; everything else is content.  Two
+    traces of the same abstract path canonicalise identically.
     """
     skey, _ssnap, rkey, _rsnap, t2r, r2t, injected, delivered = step.portable
     return (
@@ -107,15 +106,15 @@ class Counterexample:
         return len(self.steps)
 
     def fingerprint(self) -> str:
-        """Content hash of the abstract path; identical across shard
-        counts, backends, stores and resume.
+        """Content hash of the abstract path; identical across stores
+        and resume.
 
         Hashed over ``repr`` rather than ``pickle``: pickle's memo
         encodes object *identity* (an interned value appearing twice
         serialises differently from two equal copies of it), which
-        varies with how a portable crossed process boundaries.  ``repr``
-        of these values -- packets, tuples, strings, ints -- is pure
-        content.
+        varies with how a portable's values were interned -- a resumed
+        search reads them back from a checkpoint.  ``repr`` of these
+        values -- packets, tuples, strings, ints -- is pure content.
         """
         canon = tuple(_canonical_step(step) for step in self.steps)
         return hashlib.sha256(repr(canon).encode("utf-8")).hexdigest()

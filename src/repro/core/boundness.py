@@ -170,7 +170,6 @@ def verify_theorem21(
     message: Hashable = "m",
     boundness_kwargs: Optional[dict] = None,
     exploration_kwargs: Optional[dict] = None,
-    parallel: int = 0,
 ) -> Theorem21Verdict:
     """Measure boundness and compare it to the station state product.
 
@@ -179,22 +178,13 @@ def verify_theorem21(
     :mod:`repro.ioa.exploration`), so ``state_product`` is an upper
     bound on the true ``k_t * k_r`` -- the safe direction for checking
     the theorem's inequality.
-
-    Args:
-        parallel: worker count for the exploration (``> 1`` engages
-            the sharded engine; identical results whenever the
-            exploration completes within its budget).  An explicit
-            ``parallel`` in ``exploration_kwargs`` wins.
     """
     report = measure_boundness(
         pair_factory, message=message, **(boundness_kwargs or {})
     )
     sender, receiver = pair_factory()
-    kwargs = dict(exploration_kwargs or {})
-    if parallel:
-        kwargs.setdefault("parallel", parallel)
     exploration = explore_station_states(
-        sender, receiver, [message], **kwargs
+        sender, receiver, [message], **(exploration_kwargs or {})
     )
     return Theorem21Verdict(
         boundness=report.boundness,

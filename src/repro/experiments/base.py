@@ -11,40 +11,10 @@ transcript both consume these.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.tables import Table
-
-
-def explore_workers(override: Any = None) -> int:
-    """Worker count for state-space explorations.
-
-    ``override`` is the explicitly passed ``explore_parallel`` value
-    (threaded down from ``run_experiment``/``run_all``/the CLI); when
-    ``None``, the ``REPRO_EXPLORE_WORKERS`` environment variable is the
-    default.  A positive count selects the sharded exploration engine
-    for the experiments that enumerate station states (E1, E2);
-    ``0``/unset keeps the serial kernel.  For explorations that
-    complete, results are identical at any worker count, so the
-    setting stays out of experiment parameters and cache keys.  Rows
-    truncated by the visit budget depend on where the budget cuts --
-    the serial kernel cuts exact-FIFO, the sharded engine at level
-    barriers (deterministic and worker-count-independent, see
-    :mod:`repro.ioa.exploration_parallel`) -- so their reported
-    coverage may differ between engines, as the truncation notes in
-    the transcripts already warn.
-    """
-    if override is not None:
-        try:
-            return max(0, int(override))
-        except (TypeError, ValueError):
-            return 0
-    try:
-        return max(0, int(os.environ.get("REPRO_EXPLORE_WORKERS", "0")))
-    except ValueError:
-        return 0
 
 
 def resolve_trial_engine(

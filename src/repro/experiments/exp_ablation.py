@@ -190,15 +190,8 @@ def _ablation_ttl(result: ExperimentResult, fast: bool):
     result.tables.append(table)
 
 
-def run(
-    fast: bool = False, seed: int = 0, explore_parallel=None
-) -> ExperimentResult:
-    """Execute the four ablations.
-
-    ``explore_parallel`` is part of the uniform experiment signature;
-    the ablations explore no state spaces, so it is ignored.
-    """
-    del explore_parallel
+def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
+    """Execute the four ablations."""
     result = ExperimentResult(exp_id=EXP_ID, title=TITLE)
     _ablation_phase_count(result, fast, seed)
     _ablation_fifo(result, fast)

@@ -27,10 +27,7 @@ from repro.core.boundness import measure_boundness, verify_theorem21
 from repro.datalink.alternating_bit import make_alternating_bit
 from repro.datalink.flooding import make_capacity_flooding
 from repro.datalink.sequence import make_sequence_protocol
-from repro.experiments.base import (
-    ExperimentResult,
-    explore_workers,
-)
+from repro.experiments.base import ExperimentResult
 
 EXP_ID = "E1"
 NAME = "boundness"
@@ -74,15 +71,8 @@ def protocol_rows(fast: bool) -> List[Tuple[str, Callable, int]]:
     return rows
 
 
-def run(
-    fast: bool = False, seed: int = 0, explore_parallel=None
-) -> ExperimentResult:
-    """Execute E1 and report the per-protocol verdicts.
-
-    ``explore_parallel`` selects the worker count for the state-space
-    explorations (``None`` falls back to ``$REPRO_EXPLORE_WORKERS``,
-    then serial); completed explorations are identical at any count.
-    """
+def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
+    """Execute E1 and report the per-protocol verdicts."""
     result = ExperimentResult(exp_id=EXP_ID, title=TITLE)
     table = Table(
         [
@@ -112,7 +102,6 @@ def run(
                     FAST_BUDGET if fast else SLOW_BUDGET
                 ),
             },
-            parallel=explore_workers(explore_parallel),
         )
         report = measure_boundness(
             factory,

@@ -32,10 +32,7 @@ from repro.datalink.flooding import make_capacity_flooding, make_flooding
 from repro.datalink.sequence import make_sequence_protocol
 from repro.datalink.sequence_mod import make_modular_sequence
 from repro.datalink.system import make_system
-from repro.experiments.base import (
-    ExperimentResult,
-    explore_workers,
-)
+from repro.experiments.base import ExperimentResult
 from repro.ioa.actions import Direction
 from repro.ioa.exploration import explore_station_states
 
@@ -97,15 +94,8 @@ def protocol_rows(
     return rows
 
 
-def run(
-    fast: bool = False, seed: int = 0, explore_parallel=None
-) -> ExperimentResult:
-    """Execute E2 and report attack outcomes per protocol.
-
-    ``explore_parallel`` selects the worker count for the state-space
-    explorations (``None`` falls back to ``$REPRO_EXPLORE_WORKERS``,
-    then serial); completed explorations are identical at any count.
-    """
+def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
+    """Execute E2 and report attack outcomes per protocol."""
     del seed  # the attack is fully deterministic
     result = ExperimentResult(exp_id=EXP_ID, title=TITLE)
     table = Table(
@@ -189,7 +179,6 @@ def run(
     # once the injections exceed its K = 2 data phases, so showing the
     # plateau needs a point past K (the caps keep even fast mode cheap).
     budgets = (1, 2, 3)
-    workers = explore_workers(explore_parallel)
     for label, factory, saturates in [
         (
             "capacity-flood(K=2,B=1)",
@@ -207,7 +196,6 @@ def run(
                 ["m"],
                 max_messages=budget,
                 max_configurations=GROWTH_BUDGET,
-                parallel=workers,
             )
             headers = {
                 packet.header

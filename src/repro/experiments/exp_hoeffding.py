@@ -151,15 +151,10 @@ def merge(
     return result
 
 
-def run(
-    fast: bool = False, seed: int = 0, explore_parallel=None
-) -> ExperimentResult:
+def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
     """Execute E5 over the (n, q, alpha) grid.
 
     Runs every shard in-process (same decomposition as the parallel
     runtime, so the output is identical either way).
-    ``explore_parallel`` is part of the uniform experiment signature;
-    E5 explores no state spaces, so it is ignored.
     """
-    del explore_parallel
     return run_sharded(sys.modules[__name__], fast, seed)

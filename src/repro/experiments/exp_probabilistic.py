@@ -276,15 +276,10 @@ def merge(
     return result
 
 
-def run(
-    fast: bool = False, seed: int = 0, explore_parallel: Any = None
-) -> ExperimentResult:
+def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
     """Execute E4 and report the growth fits and crossovers.
 
     Runs every shard in-process (same decomposition and derived seeds
     as the parallel runtime, so the output is identical either way).
-    ``explore_parallel`` is part of the uniform experiment signature;
-    E4 explores no state spaces, so it is ignored.
     """
-    del explore_parallel
     return run_sharded(sys.modules[__name__], fast, seed)

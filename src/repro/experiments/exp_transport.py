@@ -56,15 +56,8 @@ def host_to_host(
     )
 
 
-def run(
-    fast: bool = False, seed: int = 0, explore_parallel=None
-) -> ExperimentResult:
-    """Execute L2 over the 4-hop virtual link.
-
-    ``explore_parallel`` is part of the uniform experiment signature;
-    L2 explores no state spaces, so it is ignored.
-    """
-    del explore_parallel
+def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
+    """Execute L2 over the 4-hop virtual link."""
     result = ExperimentResult(exp_id=EXP_ID, title=TITLE)
     n = 15 if fast else 25
     table = Table(

@@ -44,15 +44,8 @@ def _delivery_stats(factory, seed, n, reorder=False):
     return stats
 
 
-def run(
-    fast: bool = False, seed: int = 0, explore_parallel=None
-) -> ExperimentResult:
-    """Execute L1: the throughput table and the SR-vs-GBN table.
-
-    ``explore_parallel`` is part of the uniform experiment signature;
-    L1 explores no state spaces, so it is ignored.
-    """
-    del explore_parallel
+def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
+    """Execute L1: the throughput table and the SR-vs-GBN table."""
     result = ExperimentResult(exp_id=EXP_ID, title=TITLE)
     n = 25 if fast else 40
 

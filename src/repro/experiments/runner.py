@@ -72,7 +72,7 @@ SHARDED = {
 }
 
 
-def _validate_kwargs(fast, seed, explore_parallel=None) -> None:
+def _validate_kwargs(fast, seed) -> None:
     if not isinstance(fast, bool):
         raise TypeError(
             f"fast must be a bool, got {type(fast).__name__} ({fast!r})"
@@ -81,29 +81,13 @@ def _validate_kwargs(fast, seed, explore_parallel=None) -> None:
         raise TypeError(
             f"seed must be an int, got {type(seed).__name__} ({seed!r})"
         )
-    if explore_parallel is not None and (
-        isinstance(explore_parallel, bool)
-        or not isinstance(explore_parallel, int)
-        or explore_parallel < 0
-    ):
-        raise TypeError(
-            "explore_parallel must be None or a non-negative int, got "
-            f"{type(explore_parallel).__name__} ({explore_parallel!r})"
-        )
 
 
 def run_experiment(
-    name: str, fast: bool = False, seed: int = 0, explore_parallel=None
+    name: str, fast: bool = False, seed: int = 0
 ) -> ExperimentResult:
-    """Run one registered experiment by name.
-
-    ``explore_parallel`` is the worker count for state-space
-    explorations (E1/E2); ``None`` defers to the
-    ``REPRO_EXPLORE_WORKERS`` environment variable, then serial.
-    Completed explorations are identical at any count, so the value is
-    deliberately not part of experiment parameters or cache keys.
-    """
-    _validate_kwargs(fast, seed, explore_parallel)
+    """Run one registered experiment by name."""
+    _validate_kwargs(fast, seed)
     if name == "all":
         raise ValueError(
             "run_experiment runs a single experiment; use run_all() "
@@ -114,23 +98,14 @@ def run_experiment(
             f"unknown experiment {name!r}; choose from "
             f"{sorted(REGISTRY)}, or 'all' via run_all()"
         )
-    return REGISTRY[name](
-        fast=fast, seed=seed, explore_parallel=explore_parallel
-    )
+    return REGISTRY[name](fast=fast, seed=seed)
 
 
-def run_all(
-    fast: bool = False, seed: int = 0, explore_parallel=None
-) -> Dict[str, ExperimentResult]:
-    """Run every registered experiment; results keyed by name.
-
-    ``explore_parallel`` as in :func:`run_experiment`.
-    """
-    _validate_kwargs(fast, seed, explore_parallel)
+def run_all(fast: bool = False, seed: int = 0) -> Dict[str, ExperimentResult]:
+    """Run every registered experiment; results keyed by name."""
+    _validate_kwargs(fast, seed)
     return {
-        name: REGISTRY[name](
-            fast=fast, seed=seed, explore_parallel=explore_parallel
-        )
+        name: REGISTRY[name](fast=fast, seed=seed)
         for name in sorted(REGISTRY)
     }
 
@@ -201,17 +176,6 @@ def main(argv=None) -> int:
         help="worker processes (default 1 = serial in-process)",
     )
     parser.add_argument(
-        "--explore-parallel",
-        metavar="N",
-        type=int,
-        default=None,
-        help=(
-            "worker shards for state-space explorations (E1/E2); "
-            "completed explorations are identical at any count "
-            "(default: $REPRO_EXPLORE_WORKERS or serial)"
-        ),
-    )
-    parser.add_argument(
         "--engine",
         choices=TRIAL_ENGINES,
         default="auto",
@@ -272,8 +236,6 @@ def main(argv=None) -> int:
         )
     if args.parallel < 1:
         parser.error("--parallel must be >= 1")
-    if args.explore_parallel is not None and args.explore_parallel < 0:
-        parser.error("--explore-parallel must be >= 0")
 
     cache = (
         None
@@ -290,7 +252,6 @@ def main(argv=None) -> int:
             cache=cache,
             timeout=args.timeout,
             reporter=reporter,
-            explore_parallel=args.explore_parallel,
             engine=args.engine,
         )
     except TaskFailure as failure:

@@ -20,8 +20,7 @@ of that model that every other layer of the reproduction builds on:
 * :mod:`repro.ioa.exploration` -- reachable-state enumeration used by
   the Theorem 2.1 boundness analysis.
 * :mod:`repro.ioa.exploration_parallel` -- the one level-synchronous
-  BFS driver (sharded, checkpointing) behind exploration and the
-  checker.
+  BFS (checkpointing) behind exploration and the checker.
 """
 
 from repro.ioa.actions import (

@@ -65,10 +65,9 @@ that lookup, so hit counts are lower than the number of generated
 successors.
 
 This module holds the interned search and the result types.  The BFS
-itself -- one level-synchronous driver shared with the checker, with
-sharding and checkpoint/resume -- lives in
-:mod:`repro.ioa.exploration_parallel`; :func:`explore_station_states`
-runs it.
+itself -- one level-synchronous search shared with the checker, with
+checkpoint/resume -- lives in :mod:`repro.ioa.exploration_parallel`;
+:func:`explore_station_states` runs it.
 """
 
 from __future__ import annotations
@@ -107,8 +106,7 @@ class ExplorationCapacityError(RuntimeError):
     Attributes:
         partial: a truncated :class:`ExplorationResult` covering the
             work completed before the overflow (exploration only;
-            ``None`` for the checker, or when the shards could not
-            assemble one).
+            ``None`` for the checker).
         levels_completed: BFS levels fully expanded before the
             overflow.
         configurations_seen: configurations visited before the
@@ -369,16 +367,9 @@ class _InternedSearch:
         self.set_extend[(set_id, value_id)] = new_id
         return new_id
 
-    def intern_value_set(self, values: Iterable[Hashable]) -> int:
-        """Intern a set of packet values by folding extensions."""
-        set_id = 0
-        for value in values:
-            set_id = self.extend_set(set_id, self.intern_value(value))
-        return set_id
-
     # Hooks for the subclass that maintains parallel per-id tables (the
-    # sharded driver adds content digests); a lone shard pays one no-op
-    # call per *new* id only.
+    # parent-tracking search adds content digests); other searches pay
+    # one no-op call per *new* id only.
     def on_new_sender(self, sid: int) -> None:
         pass
 
@@ -633,7 +624,6 @@ def explore_station_states(
     message_alphabet: Iterable[Hashable],
     max_messages: int = 2,
     max_configurations: int = 200_000,
-    parallel: int = 0,
     checkpoint_every: int = 0,
     checkpoint_dir: Optional[str] = None,
     resume: bool = True,
@@ -651,13 +641,9 @@ def explore_station_states(
             saturate at small values.
         max_configurations: exploration budget; when exceeded the
             result is marked ``truncated``.
-        parallel: ``>= 2`` routes through the sharded entry
-            (:func:`repro.ioa.exploration_parallel.explore_station_states_parallel`),
-            which spreads the search across worker processes when more
-            than one CPU is available.  ``0``/``1`` is the serial path.
         checkpoint_every: snapshot the search every N frontier levels
-            (routes through the sharded entry even for
-            ``parallel <= 1``, which then runs one in-process shard).
+            (routes through the level-barrier entry,
+            :func:`repro.ioa.exploration_parallel.explore_station_states_parallel`).
             ``0`` disables checkpointing.
         checkpoint_dir: directory for checkpoint files; defaults to
             ``<result cache dir>/exploration`` when checkpointing is
@@ -668,26 +654,23 @@ def explore_station_states(
     Returns:
         An :class:`ExplorationResult` with the visited station states.
 
-    Every path runs the one level-synchronous BFS driver of
-    :mod:`repro.ioa.exploration_parallel`.  The serial path truncates
-    at exactly ``max_configurations`` visited configurations, in
-    BFS-FIFO order: it expands only a prefix of the level that would
-    overrun the budget.  The sharded entry truncates at level barriers,
-    so truncated sharded results are deterministic for any worker count
-    but can exceed the cap by up to one level.  Non-truncated results
-    are identical on every path.
+    Every path runs the one level-synchronous BFS of
+    :mod:`repro.ioa.exploration_parallel`.  Without checkpoints the
+    search truncates at exactly ``max_configurations`` visited
+    configurations, in BFS-FIFO order: it expands only a prefix of the
+    level that would overrun the budget.  Checkpointed runs truncate
+    at level barriers, so they can exceed the cap by up to one level.
+    Non-truncated results are identical on every path.
     """
     from repro.ioa import exploration_parallel as driver
 
-    if (parallel and parallel > 1) or checkpoint_every > 0 \
-            or checkpoint_dir is not None:
+    if checkpoint_every > 0 or checkpoint_dir is not None:
         return driver.explore_station_states_parallel(
             sender,
             receiver,
             message_alphabet,
             max_messages=max_messages,
             max_configurations=max_configurations,
-            workers=max(1, int(parallel)),
             checkpoint_every=checkpoint_every,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
@@ -698,8 +681,6 @@ def explore_station_states(
         message_alphabet,
         max_messages=max_messages,
         max_configurations=max_configurations,
-        workers=1,
-        use_processes=False,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=None,
         resume=resume,

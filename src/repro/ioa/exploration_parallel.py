@@ -1,88 +1,75 @@
-"""The level-synchronous BFS driver behind exploration and the checker.
+"""The level-synchronous BFS behind exploration and the checker.
 
 Theorem 2.1's state counts (:func:`repro.ioa.exploration.explore_station_states`)
 and the checker's property hunt (:func:`repro.checker.engine.check_protocol`)
 are one bounded reachability search over the set-abstracted channels.
-This module is that search, once: one shard class, one coordinator and
-one single-shard level loop.  Exploration is a search whose property
-never hits; the outputs only exploration needs -- station-state sets,
-the pair count, packet values -- are read off the visited set after the
-search, the way the checker reconstructs counterexample paths after it,
-so a check never pays for them.
+This module is that search, once, in one process: one search class,
+one coordinator and two per-configuration level loops.  Exploration is
+a search whose property never hits; the outputs only exploration needs
+-- station-state sets, the pair count, packet values -- are read off
+the visited set after the search, the way the checker reconstructs
+counterexample paths after it, so a check never pays for them.
 
-The search runs as a **bulk-synchronous parallel** computation: the
-configuration space is hash-partitioned across shards, each shard
-*owns* the configurations whose content digest lands in it, and the
-search proceeds in frontier *levels* -- all configurations at BFS depth
-``d`` are expanded before any at depth ``d + 1``.
+The search proceeds in frontier *levels*: all configurations at BFS
+depth ``d`` are expanded before any at depth ``d + 1``, and each newly
+adopted level is scanned with the property before it is expanded.  The
+set of configurations at each level is a property of the protocol
+alone (successors of the previous level, minus everything already
+seen), so verdicts, state counts and counterexamples are identical
+across visited-set stores and checkpoint resume.
 
-Level synchrony is what makes the parallel search exact: the set of
-configurations at each BFS level is a property of the protocol alone
-(successors of the previous level, minus everything already seen), so
-visited sets, state counts, packet values, verdicts and counterexamples
-are **identical for any shard count and any backend** on searches that
-run to completion.  Only the *order* within a level depends on the
-partition, and nothing observable reads that order.
+Two loops expand a level:
 
-Each round is one barrier (driven through
-:class:`repro.runtime.bsp.ShardedPool`):
+* :meth:`_BFS.run_levels` -- the tight loop, used when parents are not
+  tracked: many levels per call, with every barrier (property scan,
+  budget, checkpoint cadence, hit stop) at a level boundary;
+* :meth:`_BFS.expand` -- one level per call, proposing a parent for
+  every successor; used when a counterexample path is reconstructed.
 
-1. **adopt** -- every shard folds the configurations routed to it in
-   the previous round into its frontier, deduplicating against its
-   own seen-set (the owner is the single point of deduplication for
-   its configurations), then scans the new level with the property;
-2. **expand** -- every shard expands its frontier with the interned
-   delta-memo kernel; successors it owns go straight into its next
-   frontier, successors owned by other shards are encoded *portably*
-   (interned table objects, so pickle's memoisation compresses a
-   batch) and returned for routing.
+Canonical targets and parents
+-----------------------------
 
-Sharding is by a **stable content digest** (BLAKE2b over a canonical
-pickle) of the station protocol-states and channel value-sets --
-never Python's per-process-randomised ``hash`` -- so every shard
-computes the same owner for the same abstract configuration.  Set
-digests are commutative sums of member digests.  A digest collision
-only skews load balance; it can never merge two distinct
-configurations, because dedup happens on the owner's interned
-encoding, not the digest.
-
-When the host has a single CPU (or ``workers <= 1``, or the automata
-don't pickle), the search degrades to a single in-process shard that
-runs :meth:`_Shard.run_levels`: the same levels in one tight loop,
-without coordinator rounds or digests.  ``use_processes=True`` forces
-real worker processes (used by the equivalence tests); the effective
-backend is recorded in the ``engine`` record of the result.
+Hit targets and parents are named by a **stable content digest**
+(BLAKE2b over a canonical pickle) of the station protocol-states and
+channel value-sets -- never Python's per-process-randomised ``hash``
+-- so a counterexample is the same in every process and across
+resume.  Set digests are commutative sums of member digests.  Digest
+tables are kept per intern id only while tracking parents; otherwise a
+hit's digest is computed from its content (:func:`portable_digest`).
+The target is the minimum ``(digest, canonical)`` over the hits at the
+stop barrier, and each configuration keeps its minimum-rank parent
+proposal ``(parent digest, move class, argument rank)``, so the path
+does not depend on the order in which a level is expanded.
 
 Truncation
 ----------
 
-The sharded search stops at the first level barrier at or past the
+The level-barrier entry (:func:`explore_station_states_parallel`, and
+every checker search) stops at the first level barrier at or past the
 budget, so a truncated run may visit up to one level more than
-``max_configurations``; truncated results are still deterministic for
-any shard count.  The serial exploration entry instead cuts inside the
-level that would overrun the budget -- it expands only that level's
-first ``budget - visited`` configurations -- which is exactly the
-BFS-FIFO cut: Theorem 2.1's growth tables print that count.
+``max_configurations``.  The serial exploration entry instead cuts
+inside the level that would overrun the budget -- it expands only that
+level's first ``budget - visited`` configurations -- which is exactly
+the BFS-FIFO cut: Theorem 2.1's growth tables print that count.
 
 Checkpoint/resume
 -----------------
 
-With checkpointing enabled, the coordinator snapshots every shard at
-level barriers -- intern tables, seen-sets (plain ints), frontier,
+With checkpointing enabled, the coordinator snapshots the search at
+level barriers -- intern tables, seen-set (plain ints), frontier,
 parent pointers -- every ``checkpoint_every`` levels, plus once at
 termination, whether complete, budget-truncated or stopped at a hit.
 Checkpoints live under ``<cache dir>/<exploration|checker>/<key>.ckpt``
 where :func:`checkpoint_key` hashes the protocol, alphabet, bounds,
-property, shard layout, :data:`KERNEL_VERSION` and the source digest --
-the same invalidation discipline as the result cache.  Because the key
-excludes ``max_configurations``, a budget-capped search *resumes* where
-it stopped when rerun with a larger budget: caps become incremental
+property, :data:`KERNEL_VERSION` and the source digest -- the same
+invalidation discipline as the result cache.  Because the key excludes
+``max_configurations``, a budget-capped search *resumes* where it
+stopped when rerun with a larger budget: caps become incremental
 budgets instead of repeated work.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import logging
 import os
@@ -122,7 +109,7 @@ __all__ = [
     "resolve_engine_tier",
 ]
 
-CHECKPOINT_FORMAT = "repro-bfs-checkpoint/3"
+CHECKPOINT_FORMAT = "repro-bfs-checkpoint/4"
 
 #: Generation of the search kernels' statistics contract, salted into
 #: every checkpoint key.  Checkpoints key on the source digest too, so
@@ -196,10 +183,10 @@ def _stable_digest(value: Any) -> int:
 def portable_digest(portable: Tuple) -> int:
     """Stable digest of a portable configuration.
 
-    Mirrors ``_Shard._config_digest`` exactly (set digests are
-    commutative sums of member digests), so a shard without digest
-    tables -- the single-shard, no-parents fast path -- reports the
-    same hit digests as a sharded run.
+    Mirrors ``_BFS._config_digest`` exactly (set digests are
+    commutative sums of member digests), so a search without digest
+    tables -- one that does not track parents -- reports the same hit
+    digests as one that does.
     """
     skey, _ssnap, rkey, _rsnap, t2r_values, r2t_values, injected, delivered \
         = portable
@@ -231,13 +218,13 @@ def resolve_engine_tier(engine: str, prop: Any = None,
     return "interpreted"
 
 
-class _ShardSearch(_InternedSearch):
+class _DigestSearch(_InternedSearch):
     """Interned search that also keeps a content digest per id.
 
     Digests are maintained through the ``on_new_*`` interning hooks,
     so each distinct state/value/set is digested exactly once.  Only
-    shards that route (more than one shard) or name parents (path
-    reconstruction) use this class; a lone shard pays nothing.
+    searches that name parents (path reconstruction) use this class;
+    the others pay nothing.
     """
 
     __slots__ = ("sender_dg", "receiver_dg", "value_dg", "set_dg")
@@ -277,68 +264,58 @@ class _ShardSearch(_InternedSearch):
 
 
 # ----------------------------------------------------------------------
-# The shard
+# The search
 # ----------------------------------------------------------------------
 
-class _Shard:
-    """Owns one hash-partition of the configuration space.
+class _BFS:
+    """All mutable state of one level-synchronous search.
 
-    All mutable search state lives here -- in the child process under
-    the process backend, in the coordinator's process otherwise.  The
-    coordinator talks to it through :meth:`handle`:
+    The coordinator (:func:`_run_search`) stages the seed
+    (:meth:`stage_seed`) or a checkpoint (:meth:`restore`) and adopts
+    it (:meth:`adopt`); then either :meth:`run_levels` runs the
+    remaining levels, or :meth:`expand` and :meth:`adopt` alternate
+    once per level.  :meth:`finish` collects the results;
+    :meth:`snapshot` and :meth:`resolve` serve checkpoints and path
+    reconstruction.
 
-    * ``("adopt", inbound, level)`` -- inbound items are
-      ``(portable, parent_meta)`` pairs; returns ``{"size", "hits"}``
-      where hits are ``(digest, canonical)`` pairs for this level's
-      property hits;
-    * ``("expand",)`` -- expand the frontier, return routed successors;
-    * ``("snapshot",)`` / ``("restore", dump)`` -- checkpointing;
-    * ``("resolve", digest)`` -- parent-pointer lookup for path
-      reconstruction;
-    * ``("finish", states)`` -- search statistics, plus the exploration
-      outputs when ``states`` is true.
-
-    ``options`` carries the search's plug-ins: ``prop`` (a checker
-    property, or ``None`` for exploration), ``track_parents``,
-    ``del_cap`` (the saturating delivered field, ``0`` when off),
-    ``capacity`` (channel value-set bound, or ``None``), ``store``
-    (``"memory"`` or ``"disk"``) and ``store_dir``.
+    ``prop`` is a checker property, or ``None`` for exploration;
+    ``del_cap`` is the saturating delivered field (``0`` when off);
+    ``capacity`` bounds the channel value sets (``None`` when off);
+    ``store`` is ``"memory"`` or ``"disk"``, the latter under
+    ``store_dir``.
     """
 
-    def __init__(self, index: int, num_shards: int, sender: IOAutomaton,
-                 receiver: IOAutomaton, alphabet: List[Hashable],
-                 max_messages: int, options: Dict[str, Any]) -> None:
-        self.index = index
-        self.num_shards = num_shards
+    def __init__(self, sender: IOAutomaton, receiver: IOAutomaton,
+                 alphabet: List[Hashable], max_messages: int, *,
+                 prop: Any = None, track_parents: bool = False,
+                 del_cap: int = 0, capacity: Optional[int] = None,
+                 store: str = "memory",
+                 store_dir: Optional[str] = None) -> None:
         self.max_messages = max_messages
-        self.track_parents = bool(options.get("track_parents"))
-        self.del_cap = int(options.get("del_cap", 0))
-        self.capacity: Optional[int] = options.get("capacity")
+        self.track_parents = track_parents
+        self.del_cap = del_cap
+        self.capacity = capacity
         # A delivery's successor depends on the delivered field only
         # when it is tracked, so only then does the memo key read it.
         self.deliver_mask = _DELIVER_KEY | (
-            (_FIELD_MASK << (_S_DEL - _S_RID)) if self.del_cap else 0
+            (_FIELD_MASK << (_S_DEL - _S_RID)) if del_cap else 0
         )
-        # Digest tables route configurations between shards and name
-        # parents for path reconstruction; a lone shard needs neither.
-        self.track_digests = num_shards > 1 or self.track_parents
-        search_class = _ShardSearch if self.track_digests else _InternedSearch
+        # Digest tables name parents for path reconstruction.
+        search_class = _DigestSearch if track_parents else _InternedSearch
         alphabet = list(alphabet)
         self.search = search_class(sender, receiver, alphabet)
         self.scan: Optional[Callable[[List[int]], List[int]]] = None
-        prop = options.get("prop")
         if prop is not None:
             from repro.checker.properties import BindContext
 
             self.scan = prop.bind(
-                BindContext(self.search, max_messages, alphabet, self.del_cap)
+                BindContext(self.search, max_messages, alphabet, del_cap)
             )
         self.seen: Any = set()
         self.frontier: List[int] = []
         self.pending: List[int] = []
         self.visited = 0
         self.dup_skipped = 0
-        self.forwarded = 0
         self.pruned = 0
         self.hits_found = 0
         self.scanned = 0
@@ -356,39 +333,21 @@ class _Shard:
         self.output_memo: Dict[int, Optional[int]] = {}
         self.deliver_memo: Dict[int, Tuple[int, ...]] = {}
         self.ack_memo: Dict[int, Tuple[int, ...]] = {}
-        self.store_kind = options.get("store", "memory")
-        self.store_dir: Optional[str] = options.get("store_dir")
+        self.store_kind = store
+        self.store_dir = store_dir
         self.level_log: Any = None
-        if self.store_kind == "disk":
+        if store == "disk":
             self._attach_disk_store(seed=None)
 
     def _attach_disk_store(self, seed: Optional[Iterable[int]]) -> None:
         from repro.checker.store import DiskVisitedStore, LevelLog
 
-        shard_dir = os.path.join(self.store_dir, f"shard-{self.index}")
-        store = DiskVisitedStore(os.path.join(shard_dir, "visited"))
+        store = DiskVisitedStore(os.path.join(self.store_dir, "visited"))
         if seed is not None:
             for cfg in seed:  # distinct by construction: no membership test
                 store.add(cfg)
         self.seen = store
-        self.level_log = LevelLog(os.path.join(shard_dir, "levels"))
-
-    # -- protocol ------------------------------------------------------
-    def handle(self, request: Tuple) -> Any:
-        op = request[0]
-        if op == "adopt":
-            return self.adopt(request[1], request[2])
-        if op == "expand":
-            return self.expand()
-        if op == "snapshot":
-            return self.snapshot()
-        if op == "restore":
-            return self.restore(request[1])
-        if op == "resolve":
-            return self.resolve(request[1])
-        if op == "finish":
-            return self.finish(request[1])
-        raise ValueError(f"unknown shard request {op!r}")
+        self.level_log = LevelLog(os.path.join(self.store_dir, "levels"))
 
     # -- config plumbing -----------------------------------------------
     def _config_digest(self, cfg: int) -> int:
@@ -403,12 +362,7 @@ class _Shard:
         ) % _DIGEST_MOD
 
     def _portable(self, cfg: int) -> Tuple:
-        """Shard-independent encoding of ``cfg``.
-
-        Ships the interned table objects themselves (keys, snapshots,
-        values); within one pickled batch, repeats collapse to pickle
-        memo references.
-        """
+        """Id-free encoding of ``cfg``: the interned table objects."""
         s = self.search
         values = s.values
         sid = cfg & _FIELD_MASK
@@ -426,39 +380,11 @@ class _Shard:
             cfg >> _S_DEL,
         )
 
-    def _intern_portable(self, portable: Tuple) -> int:
-        s = self.search
-        (skey, ssnap, rkey, rsnap, t2r_values, r2t_values,
-         injected, delivered) = portable
-        sid = s.sender_ids.get(skey)
-        if sid is None:
-            sid = s._guard(len(s.sender_keys))
-            s.sender_ids[skey] = sid
-            s.sender_keys.append(skey)
-            s.sender_snaps.append(None if s.sender_fast else ssnap)
-            s.on_new_sender(sid)
-        rid = s.receiver_ids.get(rkey)
-        if rid is None:
-            rid = s._guard(len(s.receiver_keys))
-            s.receiver_ids[rkey] = rid
-            s.receiver_keys.append(rkey)
-            s.receiver_snaps.append(None if s.receiver_fast else rsnap)
-            s.on_new_receiver(rid)
-        return (
-            sid
-            | (rid << _S_RID)
-            | (s.intern_value_set(t2r_values) << _S_T2R)
-            | (s.intern_value_set(r2t_values) << _S_R2T)
-            | (injected << _S_INJ)
-            | (delivered << _S_DEL)
-        )
-
     def _canonical(self, cfg: int) -> Tuple:
-        """Snapshot-free canonical form, the cross-shard tiebreaker.
+        """Snapshot-free canonical form, the hit target's tiebreaker.
 
-        Representative snapshots vary with the partition (whichever
-        path reaches a state first donates its snapshot), so they are
-        excluded; everything else is content.
+        Representative snapshots vary with the path that reached a
+        state first, so they are excluded; everything else is content.
         """
         skey, _ssnap, rkey, _rsnap, t2r, r2t, injected, delivered \
             = self._portable(cfg)
@@ -479,132 +405,100 @@ class _Shard:
         self.hits_found += len(hits)
         return [
             (
-                self._config_digest(cfg) if self.track_digests
+                self._config_digest(cfg) if self.track_parents
                 else portable_digest(self._portable(cfg)),
                 self._canonical(cfg),
             )
             for cfg in hits
         ]
 
-    # -- rounds --------------------------------------------------------
-    def adopt(self, inbound: List[Tuple], level: int) -> Dict[str, Any]:
-        """Fold routed configurations in, then scan the new frontier.
+    # -- levels --------------------------------------------------------
+    def stage_seed(self) -> None:
+        """Stage the initial configuration for the first :meth:`adopt`.
+
+        The seed is both stations in their current states over empty
+        channels; interning it first gives its stations id 0.
+        """
+        s = self.search
+        sid = s.intern_sender(s.sender)
+        cfg = sid | (s.intern_receiver(s.receiver) << _S_RID)
+        self.seen.add(cfg)
+        self.pending.append(cfg)
+        if self.track_parents:
+            self.level_parents[cfg] = None
+
+    def adopt(self, level: int) -> List[Tuple]:
+        """Make the staged level the frontier and scan it.
 
         The adopted frontier is exactly the set of configurations
-        discovered at this BFS level (own expansion plus inbound), so
-        scanning it here tests every reachable configuration exactly
-        once, at any shard count.
+        discovered at this BFS level, so scanning it here tests every
+        reachable configuration exactly once.  Returns the level's hit
+        reports, ``(digest, canonical)`` pairs.
         """
-        frontier = self.pending
+        frontier = self.frontier = self.pending
         self.pending = []
-        seen = self.seen
-        multi = self.num_shards > 1
-        track = self.track_parents
         level_parents = self.level_parents
-        for portable, meta in inbound:
-            cfg = self._intern_portable(portable)
-            if multi and self._config_digest(cfg) % self.num_shards \
-                    != self.index:
-                # Not ours (initial seeding broadcasts to everyone).
-                continue
-            if cfg in seen:
-                self.dup_skipped += 1
-                if track:
-                    old = level_parents.get(cfg)
-                    if old is not None and meta is not None \
-                            and meta[:3] < old[:3]:
-                        level_parents[cfg] = meta
-            else:
-                seen.add(cfg)
-                frontier.append(cfg)
-                if track:
-                    level_parents[cfg] = meta
-        self.frontier = frontier
-        if track and level_parents:
+        if level_parents:
             parents = self.parents
             by_digest = self.by_digest
             for cfg, meta in level_parents.items():
                 parents[cfg] = meta
                 by_digest[self._config_digest(cfg)] = cfg
             level_parents.clear()
-        return {"size": len(frontier), "hits": self._scan(level, frontier)}
+        return self._scan(level, frontier)
 
-    def expand(self) -> Dict[str, Any]:
-        """Expand the frontier level; return routed successors.
+    def expand(self) -> int:
+        """Expand the frontier level, proposing parents; returns its size.
 
-        The sharded kernel: every successor goes through ``route``,
-        which prunes by capacity, ships other shards' configurations
-        and proposes canonical parents.
+        The parent-tracking loop: every successor goes through
+        ``propose``, which prunes by capacity, deduplicates, and keeps
+        the minimum-rank proposal for a configuration first seen at
+        this level.
         """
         search = self.search
         seen = self.seen
         pending = self.pending
-        num_shards = self.num_shards
-        multi = num_shards > 1
         mask = _FIELD_MASK
         inj_limit = self.max_messages << _S_INJ
         del_cap = self.del_cap
         deliver_mask = self.deliver_mask
         capacity = self.capacity
-        track = self.track_parents
         level_parents = self.level_parents
         alphabet = search.alphabet
         values = search.values
         set_members = search.set_members
-        value_dg = search.value_dg if track else None
-        # succ -> min-rank parent meta; portables are built at ship time
-        outbox: List[Dict[int, Optional[Tuple]]] = [
-            {} for _ in range(num_shards)
-        ]
+        value_dg = search.value_dg
         inject_memo = self.inject_memo
         output_memo = self.output_memo
         deliver_memo = self.deliver_memo
         ack_memo = self.ack_memo
         dup_skipped = 0
-        forwarded = 0
         pruned = 0
 
-        def route(successor: int, meta: Optional[Tuple]) -> None:
-            nonlocal dup_skipped, forwarded, pruned
+        def propose(successor: int, meta: Tuple) -> None:
+            nonlocal dup_skipped, pruned
             if capacity is not None and (
                 len(set_members[(successor >> _S_T2R) & mask]) > capacity
                 or len(set_members[(successor >> _S_R2T) & mask]) > capacity
             ):
                 pruned += 1
                 return
-            if multi:
-                dest = self._config_digest(successor) % num_shards
-                if dest != self.index:
-                    box = outbox[dest]
-                    old = box.get(successor, _MISSING)
-                    if old is _MISSING:
-                        box[successor] = meta
-                        forwarded += 1
-                    else:
-                        dup_skipped += 1
-                        if track and old is not None and meta is not None \
-                                and meta[:3] < old[:3]:
-                            box[successor] = meta
-                    return
             if successor in seen:
                 dup_skipped += 1
-                if track:
-                    old = level_parents.get(successor)
-                    if old is not None and meta is not None \
-                            and meta[:3] < old[:3]:
-                        level_parents[successor] = meta
+                old = level_parents.get(successor)
+                if old is not None and meta[:3] < old[:3]:
+                    level_parents[successor] = meta
             else:
                 seen.add(successor)
                 pending.append(successor)
-                if track:
-                    level_parents[successor] = meta
+                level_parents[successor] = meta
 
         for cfg in self.frontier:
             sid = cfg & mask
             rid = (cfg >> _S_RID) & mask
             t2r = (cfg >> _S_T2R) & mask
             r2t = (cfg >> _S_R2T) & mask
-            pdigest = self._config_digest(cfg) if track else 0
+            pdigest = self._config_digest(cfg)
             # The four move classes, in the level loop's order.
             if (cfg & _INJ_FIELD) < inj_limit:
                 deltas = inject_memo.get(sid)
@@ -612,10 +506,10 @@ class _Shard:
                     deltas = search.build_inject_deltas(sid)
                     inject_memo[sid] = deltas
                 for index, delta in enumerate(deltas):
-                    route(
+                    propose(
                         cfg + delta,
                         (pdigest, _MOVE_INJECT, index,
-                         ("inject", alphabet[index])) if track else None,
+                         ("inject", alphabet[index])),
                     )
             key = sid | (t2r << _FIELD_BITS)
             delta = output_memo.get(key, _MISSING)
@@ -623,11 +517,10 @@ class _Shard:
                 delta = search.build_output_delta(sid, t2r)
                 output_memo[key] = delta
             if delta is not None:
-                route(
+                propose(
                     cfg + delta,
                     (pdigest, _MOVE_OUTPUT, 0,
-                     ("output", values[search.out_memo[sid][1]]))
-                    if track else None,
+                     ("output", values[search.out_memo[sid][1]])),
                 )
             if t2r:
                 key = (cfg >> _S_RID) & deliver_mask
@@ -640,10 +533,10 @@ class _Shard:
                 members = set_members[t2r]
                 for index, delta in enumerate(deltas):
                     vid = members[index]
-                    route(
+                    propose(
                         cfg + delta,
                         (pdigest, _MOVE_DELIVER, value_dg[vid],
-                         ("deliver", values[vid])) if track else None,
+                         ("deliver", values[vid])),
                     )
             if r2t:
                 key = sid | (r2t << _FIELD_BITS)
@@ -654,42 +547,32 @@ class _Shard:
                 members = set_members[r2t]
                 for index, delta in enumerate(deltas):
                     vid = members[index]
-                    route(
+                    propose(
                         cfg + delta,
                         (pdigest, _MOVE_ACK, value_dg[vid],
-                         ("ack", values[vid])) if track else None,
+                         ("ack", values[vid])),
                     )
 
         expanded = len(self.frontier)
         self.visited += expanded
         self.dup_skipped += dup_skipped
-        self.forwarded += forwarded
         self.pruned += pruned
         self.frontier = []
-        return {
-            "expanded": expanded,
-            "outbox": [
-                [(self._portable(succ), meta) for succ, meta in box.items()]
-                for box in outbox
-            ],
-            "own_next": len(pending),
-        }
+        return expanded
 
     def run_levels(self, max_configurations: int, checkpoint_every: int,
                    save, base_level: int, exact: bool) -> Dict[str, Any]:
-        """Single-shard driver: many levels without coordinator rounds.
+        """The tight loop: many levels per call, no parent tracking.
 
-        The sharded backend pays one coordinator round (plus a routing
-        closure per successor) per BFS level; on near-chain searches
-        -- tens of thousands of levels of a few configurations each --
-        that overhead dwarfs the expansion work.  With one shard and no
-        parent tracking there is nothing to synchronise, so this tight
-        loop runs instead.  Every barrier -- property scan, budget
-        truncation, checkpoint cadence, hit stop -- happens at exactly
-        the level boundaries of the coordinator loop, so verdicts,
-        counts and checkpoints are identical.  Capacity pruning checks
-        only the set a move can grow: injections and sender deliveries
-        keep both channel sets.
+        Without parents a successor needs no proposal, so each one
+        costs a delta addition and a membership test, and the loop
+        runs level after level without returning to the coordinator.
+        Every barrier -- property scan, budget truncation, checkpoint
+        cadence, hit stop -- happens at exactly the level boundaries
+        of :meth:`expand`'s coordinator loop, so verdicts, counts and
+        checkpoints are identical.  Capacity pruning checks only the
+        set a move can grow: injections and sender deliveries keep
+        both channel sets.
 
         The entry frontier must already be adopted (and therefore
         scanned) by :meth:`adopt`; the caller handles a hit there
@@ -700,7 +583,7 @@ class _Shard:
             checkpoint_every: cadence in levels; meaningful only with
                 ``save``.
             save: ``save(session_level, is_complete)`` callback,
-                invoked at barriers with the shard counters flushed
+                invoked at barriers with the counters flushed
                 and ``self.frontier`` staged; ``None`` disables.
             base_level: absolute level of the entry frontier (for the
                 disk level log; checkpoint levels are the caller's).
@@ -879,21 +762,21 @@ class _Shard:
         }
 
     # -- path reconstruction -------------------------------------------
-    def resolve(self, digest: int) -> Dict[str, Any]:
+    def resolve(self, digest: int) -> Optional[Tuple]:
+        """``(portable, parent digest, label)`` of the tracked
+        configuration with ``digest``, or ``None`` when there is none.
+        The seed's parent digest and label are ``None``."""
         cfg = self.by_digest.get(digest)
         if cfg is None:
-            return {"found": False}
+            return None
         meta = self.parents.get(cfg)
-        return {
-            "found": True,
-            "portable": self._portable(cfg),
-            "parent_digest": None if meta is None else meta[0],
-            "label": None if meta is None else meta[3],
-        }
+        if meta is None:
+            return self._portable(cfg), None, None
+        return self._portable(cfg), meta[0], meta[3]
 
     # -- checkpointing -------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Portable dump of the shard (taken at a level barrier)."""
+        """Dump of the search (taken at a level barrier)."""
         s = self.search
         return {
             "sender_keys": list(s.sender_keys),
@@ -906,7 +789,6 @@ class _Shard:
             "frontier": list(self.frontier),
             "visited": self.visited,
             "dup_skipped": self.dup_skipped,
-            "forwarded": self.forwarded,
             "pruned": self.pruned,
             "hits_found": self.hits_found,
             "scanned": self.scanned,
@@ -917,7 +799,7 @@ class _Shard:
             "expanded_ids": self._expanded_ids(),
         }
 
-    def restore(self, dump: Dict[str, Any]) -> bool:
+    def restore(self, dump: Dict[str, Any]) -> None:
         s = self.search
         s.sender_keys = list(dump["sender_keys"])
         s.sender_snaps = list(dump["sender_snaps"])
@@ -939,7 +821,7 @@ class _Shard:
         s.receiver_rcv_memo = {}
         s.memo_hits = dump["memo_hits"]
         s.memo_misses = dump["memo_misses"]
-        if self.track_digests:
+        if self.track_parents:
             s.rebuild_digests()
         self.seen = set(dump["seen"])
         if self.store_kind == "disk":
@@ -953,7 +835,6 @@ class _Shard:
         self.frontier = []
         self.visited = dump["visited"]
         self.dup_skipped = dump["dup_skipped"]
-        self.forwarded = dump["forwarded"]
         self.pruned = dump["pruned"]
         self.hits_found = dump["hits_found"]
         self.scanned = dump["scanned"]
@@ -965,7 +846,6 @@ class _Shard:
         self.output_memo = {}
         self.deliver_memo = {}
         self.ack_memo = {}
-        return True
 
     # -- results -------------------------------------------------------
     def finish(self, states: bool) -> Dict[str, Any]:
@@ -984,7 +864,6 @@ class _Shard:
             "visited": self.visited,
             "seen": len(self.seen),
             "dup_skipped": self.dup_skipped,
-            "forwarded": self.forwarded,
             "pruned": self.pruned,
             "scanned": self.scanned,
             "hits_found": self.hits_found,
@@ -1008,9 +887,9 @@ class _Shard:
         transitions, every value sent t->r.  The receiver moves only
         on deliveries, which need a nonempty t->r set; so the expanded
         receiver ids are the keys of ``receiver_rcv_memo`` plus the
-        seed's (id 0: every shard interns the seed first), and its
-        transitions hold every value sent r->t.  The memos restart
-        empty after a restore, so checkpoints carry these sets.
+        seed's (id 0: the seed is interned first), and its transitions
+        hold every value sent r->t.  The memos restart empty after a
+        restore, so checkpoints carry these sets.
         """
         out_memo = self.search.out_memo
         rcv_memo = self.search.receiver_rcv_memo
@@ -1032,36 +911,17 @@ class _Shard:
         every configuration reached.
         """
         s = self.search
-        mask = _FIELD_MASK
         sids, rids, t2r, r2t = self._expanded_ids()
-        sender_keys = s.sender_keys
-        receiver_keys = s.receiver_keys
         values = s.values
-        pairs = {cfg & _PAIR_MASK for cfg in self.seen}
         return {
-            "sender_states": {sender_keys[sid] for sid in sids},
-            "receiver_states": {receiver_keys[rid] for rid in rids},
-            # Pair identity must survive the merge.  Across shards ids
-            # differ, so pairs are shipped as key tuples; with one shard
-            # the packed id pair is already canonical and avoids
-            # hashing every key tuple.
-            "pairs": pairs if self.num_shards == 1 else {
-                (sender_keys[pair & mask], receiver_keys[pair >> _S_RID])
-                for pair in pairs
-            },
+            "sender_states": {s.sender_keys[sid] for sid in sids},
+            "receiver_states": {s.receiver_keys[rid] for rid in rids},
+            "pair_count": len({cfg & _PAIR_MASK for cfg in self.seen}),
             "packet_values": {
                 Direction.T2R: {values[vid] for vid in t2r},
                 Direction.R2T: {values[vid] for vid in r2t},
             },
         }
-
-
-def _shard_factory(index: int, num_shards: int, *, sender, receiver,
-                   alphabet, max_messages, options):
-    """Child-side construction of a shard (module-level: picklable)."""
-    return _Shard(
-        index, num_shards, sender, receiver, alphabet, max_messages, options
-    ).handle
 
 
 # ----------------------------------------------------------------------
@@ -1070,7 +930,6 @@ def _shard_factory(index: int, num_shards: int, *, sender, receiver,
 
 def checkpoint_key(sender: IOAutomaton, receiver: IOAutomaton,
                    alphabet: List[Hashable], max_messages: int,
-                   num_shards: int, backend: str,
                    prop_spec: Optional[str] = None,
                    track_parents: bool = False, del_cap: int = 0,
                    capacity: Optional[int] = None,
@@ -1088,7 +947,7 @@ def checkpoint_key(sender: IOAutomaton, receiver: IOAutomaton,
         type(sender).__module__, type(sender).__qualname__,
         type(receiver).__module__, type(receiver).__qualname__,
         sender.protocol_state(), receiver.protocol_state(),
-        tuple(alphabet), max_messages, num_shards, backend,
+        tuple(alphabet), max_messages,
         prop_spec, track_parents, del_cap, capacity, store,
     )
     blob = pickle.dumps(_canon(material), protocol=4)
@@ -1181,8 +1040,7 @@ def _read_checkpoint_blob(path: str) -> Optional[bytes]:
     return blob
 
 
-def _load_checkpoint(path: str, key: str,
-                     num_shards: int) -> Optional[Dict[str, Any]]:
+def _load_checkpoint(path: str, key: str) -> Optional[Dict[str, Any]]:
     blob = _read_checkpoint_blob(path)
     if blob is None:
         return None
@@ -1194,17 +1052,13 @@ def _load_checkpoint(path: str, key: str,
                        path, exc)
         return None
     # A digest-valid file that simply belongs to a different search
-    # (format bump, other parameters, other shard count) is not
-    # corruption; skip it silently.
+    # (format bump, other parameters) is not corruption; skip it
+    # silently.
     if not isinstance(payload, dict):
         return None
     if payload.get("format") != CHECKPOINT_FORMAT:
         return None
     if payload.get("key") != key:
-        return None
-    if payload.get("num_shards") != num_shards:
-        return None
-    if len(payload.get("dumps", ())) != num_shards:
         return None
     return payload
 
@@ -1221,8 +1075,6 @@ def _run_search(
     *,
     max_messages: int,
     max_configurations: int,
-    workers: int = 1,
-    use_processes: Optional[bool] = None,
     track_parents: bool = False,
     del_cap: int = 0,
     capacity: Optional[int] = None,
@@ -1238,15 +1090,15 @@ def _run_search(
 
     ``prop`` is a checker property or ``None`` (exploration);
     ``checkpoint_dir`` enables checkpointing (callers resolve its
-    default); ``states`` asks the shards for the exploration outputs;
-    ``exact`` selects the BFS-FIFO cut, for a single in-process shard
-    without checkpoints only.
+    default); ``states`` asks for the exploration outputs; ``exact``
+    selects the BFS-FIFO cut, for searches without parents or
+    checkpoints only.
 
     Returns a dict with the verdict ingredients: ``complete`` /
     ``truncated`` flags, the canonical ``target`` (minimum
     ``(digest, canonical)`` over the hit barrier) or ``None``, the
-    reconstructed ``path`` when ``track_parents``, per-shard
-    ``finishes``, and the ``engine`` record.  Raises
+    reconstructed ``path`` when ``track_parents``, the search's
+    ``finish`` statistics, and the ``engine`` record.  Raises
     :class:`ExplorationCapacityError` annotated with partial progress
     (and, with ``states``, the partial exploration result) when an
     intern table overflows.
@@ -1260,33 +1112,11 @@ def _run_search(
         raise ValueError(f"capacity must be >= 1, got {capacity}")
     started = time.perf_counter()
 
-    cpus = os.cpu_count() or 1
-    picklable = True
-    if use_processes or (use_processes is None and workers >= 2
-                         and cpus >= 2):
-        try:
-            pickle.dumps((sender, receiver, alphabet, prop))
-        except Exception:
-            picklable = False
-    if use_processes is None:
-        use_procs = workers >= 2 and cpus >= 2 and picklable
-    elif use_processes:
-        if not picklable:
-            raise ValueError(
-                "use_processes=True requires picklable automata, alphabet "
-                "and property"
-            )
-        use_procs = True
-    else:
-        use_procs = False
-    num_shards = max(1, workers) if use_procs else 1
-    backend = "process" if use_procs else "in-process"
-
     checkpointing = checkpoint_dir is not None
     key = ""
     if checkpointing or (store == "disk" and store_dir is None):
         key = checkpoint_key(
-            sender, receiver, alphabet, max_messages, num_shards, backend,
+            sender, receiver, alphabet, max_messages,
             None if prop is None else prop.spec(), track_parents, del_cap,
             capacity, store,
         )
@@ -1302,7 +1132,7 @@ def _run_search(
     state: Optional[Dict[str, Any]] = None
     resumed_from = None
     if checkpointing and resume and os.path.exists(ckpt_path):
-        state = _load_checkpoint(ckpt_path, key, num_shards)
+        state = _load_checkpoint(ckpt_path, key)
         if state is not None:
             resumed_from = {
                 "level": state["level"],
@@ -1310,43 +1140,11 @@ def _run_search(
                 "complete": state["complete"],
             }
 
-    options = {
-        "prop": prop,
-        "track_parents": track_parents,
-        "del_cap": del_cap,
-        "capacity": capacity,
-        "store": store,
-        "store_dir": store_dir,
-    }
-
-    pool = None
-    if use_procs:
-        from repro.runtime.bsp import ShardedPool
-
-        pool = ShardedPool(num_shards, functools.partial(
-            _shard_factory,
-            sender=sender,
-            receiver=receiver,
-            alphabet=alphabet,
-            max_messages=max_messages,
-            options=options,
-        ))
-
-        def request_all(payloads: List[Tuple]) -> List[Any]:
-            return pool.request_all(payloads)
-
-        def request_one(shard_index: int, payload: Tuple) -> Any:
-            return pool.request(shard_index, payload)
-    else:
-        shard = _Shard(0, 1, sender, receiver, alphabet, max_messages,
-                       options)
-
-        def request_all(payloads: List[Tuple]) -> List[Any]:
-            return [shard.handle(payloads[0])]
-
-        def request_one(shard_index: int, payload: Tuple) -> Any:
-            return shard.handle(payload)
-
+    bfs = _BFS(
+        sender, receiver, alphabet, max_messages, prop=prop,
+        track_parents=track_parents, del_cap=del_cap, capacity=capacity,
+        store=store, store_dir=store_dir,
+    )
     checkpoints_written = 0
 
     def write_checkpoint(at_level: int, visited: int,
@@ -1355,12 +1153,10 @@ def _run_search(
         _save_checkpoint(ckpt_path, {
             "format": CHECKPOINT_FORMAT,
             "key": key,
-            "num_shards": num_shards,
-            "backend": backend,
             "level": at_level,
             "visited": visited,
             "complete": is_complete,
-            "dumps": request_all([("snapshot",)] * num_shards),
+            "dump": bfs.snapshot(),
         })
         checkpoints_written += 1
 
@@ -1369,143 +1165,96 @@ def _run_search(
     levels_this_session = 0
     complete = False
     truncated = False
-    hit_reports: List[Tuple[int, Tuple]] = []
     try:
-        try:
-            if state is not None:
-                request_all([("restore", dump) for dump in state["dumps"]])
-                level = state["level"]
-                visited_total = state["visited"]
-                inbound: List[List[Tuple]] = [[] for _ in range(num_shards)]
-            else:
-                seed = (
-                    sender.protocol_state(), sender.snapshot(),
-                    receiver.protocol_state(), receiver.snapshot(),
-                    (), (), 0, 0,
-                )
-                # Broadcast the seed; each shard adopts it only if owner.
-                inbound = [[(seed, None)] for _ in range(num_shards)]
-            session_base = visited_total
+        if state is not None:
+            bfs.restore(state["dump"])
+            level = state["level"]
+            visited_total = state["visited"]
+        else:
+            bfs.stage_seed()
+        session_base = visited_total
 
-            if not use_procs and not track_parents:
-                base_level = level
-                hit_reports = shard.adopt(inbound[0], level)["hits"]
+        hit_reports = bfs.adopt(level)
+        if hit_reports:
+            # The seed/restored frontier already hits.  The checkpoint
+            # stages the hit frontier, so a resumed run re-adopts and
+            # re-scans it -- the hit (and the verdict) reproduce.
+            if checkpointing:
+                write_checkpoint(level, visited_total, False)
+        elif track_parents:
+            while True:
+                if not bfs.frontier:
+                    complete = True
+                    if checkpointing:
+                        write_checkpoint(level, visited_total, True)
+                    break
+                if visited_total >= max_configurations:
+                    truncated = True
+                    if checkpointing:
+                        write_checkpoint(level, visited_total, False)
+                    break
+                if (
+                    checkpointing
+                    and levels_this_session > 0
+                    and levels_this_session % checkpoint_every == 0
+                ):
+                    write_checkpoint(level, visited_total, False)
+                visited_total += bfs.expand()
+                level += 1
+                levels_this_session += 1
+                hit_reports = bfs.adopt(level)
                 if hit_reports:
-                    # The seed/restored frontier already hits.
+                    # Stop at the first hit barrier, staged as above.
                     if checkpointing:
                         write_checkpoint(level, visited_total, False)
-                else:
-                    save = None
-                    if checkpointing:
-                        def save(session_level: int,
-                                 is_complete: bool) -> None:
-                            write_checkpoint(base_level + session_level,
-                                             shard.visited, is_complete)
+                    break
+        else:
+            base_level = level
+            save = None
+            if checkpointing:
+                def save(session_level: int, is_complete: bool) -> None:
+                    write_checkpoint(base_level + session_level,
+                                     bfs.visited, is_complete)
 
-                    stats = shard.run_levels(
-                        max_configurations, checkpoint_every, save,
-                        base_level, exact,
-                    )
-                    complete = stats["complete"]
-                    truncated = stats["truncated"]
-                    visited_total = stats["visited"]
-                    levels_this_session = stats["levels"]
-                    level = base_level + levels_this_session
-                    hit_reports = stats["hits"]
-            else:
-                while True:
-                    responses = request_all([
-                        ("adopt", inbound[i], level)
-                        for i in range(num_shards)
-                    ])
-                    inbound = [[] for _ in range(num_shards)]
-                    for response in responses:
-                        hit_reports.extend(response["hits"])
-                    if hit_reports:
-                        # Stop at the first hit barrier.  The checkpoint
-                        # stages the hit frontier, so a resumed run
-                        # re-adopts and re-scans it -- the hit (and the
-                        # verdict) reproduce.
-                        if checkpointing:
-                            write_checkpoint(level, visited_total, False)
-                        break
-                    if sum(r["size"] for r in responses) == 0:
-                        complete = True
-                        if checkpointing:
-                            write_checkpoint(level, visited_total, True)
-                        break
-                    if visited_total >= max_configurations:
-                        truncated = True
-                        if checkpointing:
-                            write_checkpoint(level, visited_total, False)
-                        break
-                    if (
-                        checkpointing
-                        and levels_this_session > 0
-                        and levels_this_session % checkpoint_every == 0
-                    ):
-                        write_checkpoint(level, visited_total, False)
-                    responses = request_all([("expand",)] * num_shards)
-                    for response in responses:
-                        visited_total += response["expanded"]
-                        for dest, batch in enumerate(response["outbox"]):
-                            if batch:
-                                inbound[dest].extend(batch)
-                    level += 1
-                    levels_this_session += 1
+            stats = bfs.run_levels(
+                max_configurations, checkpoint_every, save, base_level,
+                exact,
+            )
+            complete = stats["complete"]
+            truncated = stats["truncated"]
+            visited_total = stats["visited"]
+            levels_this_session = stats["levels"]
+            level = base_level + levels_this_session
+            hit_reports = stats["hits"]
 
-            target = None
-            path = None
-            if hit_reports:
-                # Min digest selects the canonical target; repr (pure
-                # content, unlike pickle's identity-sensitive memo)
-                # breaks the astronomically unlikely digest tie.
-                target = min(
-                    hit_reports,
-                    key=lambda item: (item[0], repr(item[1])),
-                )
-                if track_parents:
-                    from repro.checker.engine import _resolve_path
+        target = None
+        path = None
+        if hit_reports:
+            # Min digest selects the canonical target; repr (pure
+            # content, unlike pickle's identity-sensitive memo) breaks
+            # the astronomically unlikely digest tie.
+            target = min(
+                hit_reports,
+                key=lambda item: (item[0], repr(item[1])),
+            )
+            if track_parents:
+                from repro.checker.engine import _resolve_path
 
-                    path = _resolve_path(request_one, num_shards, target[0])
+                path = _resolve_path(bfs.resolve, target[0])
 
-            finishes = request_all([("finish", states)] * num_shards)
-        except Exception as exc:
-            # An intern-table overflow must not discard the search's
-            # progress.  Process-backend overflows arrive as a
-            # ShardWorkerError carrying the original type name; BSP
-            # workers survive handler exceptions, so the shards can
-            # still be asked to finish.
-            from repro.runtime.bsp import ShardWorkerError
-
-            if isinstance(exc, ExplorationCapacityError):
-                error = exc
-            elif isinstance(exc, ShardWorkerError) \
-                    and "ExplorationCapacityError" in str(exc):
-                error = ExplorationCapacityError(str(exc))
-            else:
-                raise
-            if error.levels_completed is None:
-                error.levels_completed = level
-            if error.configurations_seen is None:
-                error.configurations_seen = visited_total
-            if states:
-                try:
-                    partial = _exploration_result(
-                        request_all([("finish", True)] * num_shards),
-                        truncated=True,
-                    )
-                except Exception:
-                    partial = None
-                if partial is not None:
-                    error.partial = partial
-                    error.configurations_seen = partial.configurations
-            if error is exc:
-                raise
-            raise error from exc
-    finally:
-        if pool is not None:
-            pool.close()
+        finish = bfs.finish(states)
+    except ExplorationCapacityError as error:
+        # An intern-table overflow must not discard the search's
+        # progress.
+        if error.levels_completed is None:
+            error.levels_completed = level
+        if error.configurations_seen is None:
+            error.configurations_seen = visited_total
+        if states:
+            error.partial = _exploration_result(bfs.finish(True),
+                                                truncated=True)
+            error.configurations_seen = error.partial.configurations
+        raise
 
     elapsed = time.perf_counter() - started
     return {
@@ -1517,19 +1266,13 @@ def _run_search(
         "hit_reports": hit_reports,
         "target": target,
         "path": path,
-        "finishes": finishes,
+        "finish": finish,
         "elapsed_s": round(elapsed, 6),
         "engine": {
-            "name": "level-sync-sharded",
-            "backend": backend,
-            "workers_requested": workers,
-            "shards": num_shards,
-            "cpus": cpus,
-            "picklable": picklable,
+            "name": "level-sync",
             "levels": level,
             "levels_this_session": levels_this_session,
             "session_configurations": visited_total - session_base,
-            "cross_shard_forwards": sum(f["forwarded"] for f in finishes),
             "store": store,
             "track_parents": track_parents,
             "checkpointing": checkpointing,
@@ -1543,23 +1286,17 @@ def _run_search(
 # Exploration entries
 # ----------------------------------------------------------------------
 
-def _exploration_result(finishes: List[Dict[str, Any]],
+def _exploration_result(finish: Dict[str, Any],
                         truncated: bool) -> ExplorationResult:
-    """Merge the shards' exploration outputs."""
-    result = ExplorationResult(
-        packet_values={Direction.T2R: set(), Direction.R2T: set()}
+    """The exploration outputs of a finished search."""
+    return ExplorationResult(
+        sender_states=finish["sender_states"],
+        receiver_states=finish["receiver_states"],
+        pair_count=finish["pair_count"],
+        configurations=finish["visited"],
+        truncated=truncated,
+        packet_values=finish["packet_values"],
     )
-    pairs: Set[Any] = set()
-    for finish in finishes:
-        result.sender_states |= finish["sender_states"]
-        result.receiver_states |= finish["receiver_states"]
-        pairs |= finish["pairs"]
-        for direction, values in finish["packet_values"].items():
-            result.packet_values[direction] |= values
-    result.pair_count = len(pairs)
-    result.configurations = sum(finish["visited"] for finish in finishes)
-    result.truncated = truncated
-    return result
 
 
 def _explore(
@@ -1569,8 +1306,6 @@ def _explore(
     *,
     max_messages: int,
     max_configurations: int,
-    workers: int,
-    use_processes: Optional[bool],
     checkpoint_every: int,
     checkpoint_dir: Optional[str],
     resume: bool,
@@ -1584,16 +1319,14 @@ def _explore(
         sender, receiver, list(message_alphabet), None,
         max_messages=max_messages,
         max_configurations=max_configurations,
-        workers=workers,
-        use_processes=use_processes,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         resume=resume,
         states=True,
         exact=exact,
     )
-    finishes = outcome["finishes"]
-    result = _exploration_result(finishes, truncated=outcome["truncated"])
+    finish = outcome["finish"]
+    result = _exploration_result(finish, truncated=outcome["truncated"])
     elapsed = time.perf_counter() - started
     result.perf = {
         "elapsed_s": round(elapsed, 6),
@@ -1601,7 +1334,7 @@ def _explore(
             outcome["session_visited"], elapsed
         ),
         **{
-            name: sum(finish[key] for finish in finishes)
+            name: finish[key]
             for name, key in (
                 ("memo_hits", "memo_hits"),
                 ("memo_misses", "memo_misses"),
@@ -1623,13 +1356,11 @@ def explore_station_states_parallel(
     message_alphabet: Iterable[Hashable],
     max_messages: int = 2,
     max_configurations: int = 200_000,
-    workers: int = 2,
-    use_processes: Optional[bool] = None,
     checkpoint_every: int = 0,
     checkpoint_dir: Optional[str] = None,
     resume: bool = True,
 ) -> ExplorationResult:
-    """Level-synchronous sharded exploration.
+    """Level-barrier exploration with optional checkpoint/resume.
 
     Args:
         sender: the transmitting-station automaton ``A^t``.
@@ -1638,11 +1369,6 @@ def explore_station_states_parallel(
         max_messages: injection budget along any explored path.
         max_configurations: visit budget, enforced at level barriers
             (a truncated run may overshoot by up to one level).
-        workers: requested shard count.
-        use_processes: ``True`` forces one OS process per shard,
-            ``False`` forces the single in-process shard, ``None``
-            (default) picks processes only when ``workers >= 2``, the
-            host has more than one CPU, and the automata pickle.
         checkpoint_every: snapshot cadence in levels (``> 0`` enables
             checkpointing; ``checkpoint_dir`` alone enables it with a
             default cadence of 16 levels).  Termination -- complete or
@@ -1654,10 +1380,9 @@ def explore_station_states_parallel(
 
     Returns:
         An :class:`ExplorationResult`.  ``perf["engine"]`` records the
-        backend, effective shard count, CPU count, level count and
-        cross-shard traffic.  On a resumed run ``configurations`` is
-        the cumulative total and ``configs_per_sec`` covers only this
-        session's work.
+        level count, the store and the checkpoint activity.  On a
+        resumed run ``configurations`` is the cumulative total and
+        ``configs_per_sec`` covers only this session's work.
     """
     return _explore(
         sender,
@@ -1665,8 +1390,6 @@ def explore_station_states_parallel(
         message_alphabet,
         max_messages=max_messages,
         max_configurations=max_configurations,
-        workers=workers,
-        use_processes=use_processes,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=checkpoint_dir,
         resume=resume,

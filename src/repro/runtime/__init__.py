@@ -14,8 +14,6 @@ experiment) each -- that this package schedules:
 * :mod:`repro.runtime.executor` -- a
   :class:`~concurrent.futures.ProcessPoolExecutor` scheduler with a
   serial fallback, per-task timeout and bounded retry;
-* :mod:`repro.runtime.bsp` -- a persistent sharded worker pool
-  (:class:`ShardedPool`) for stateful bulk-synchronous rounds;
 * :mod:`repro.runtime.manifest` -- the structured run manifest
   (``run.json``) recording per-task status and metrics;
 * :mod:`repro.runtime.progress` -- live progress reporting;
@@ -33,7 +31,6 @@ Quickstart::
     assert report.results["hoeffding"].passed
 """
 
-from repro.runtime.bsp import ShardWorkerError, ShardedPool
 from repro.runtime.cache import ResultCache, code_version
 from repro.runtime.engine import RunReport, TaskFailure, plan_tasks, run_experiments
 from repro.runtime.executor import run_tasks
@@ -46,8 +43,6 @@ __all__ = [
     "NullReporter",
     "ResultCache",
     "RunReport",
-    "ShardWorkerError",
-    "ShardedPool",
     "TaskFailure",
     "TaskOutcome",
     "TaskSpec",

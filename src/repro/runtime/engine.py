@@ -149,7 +149,6 @@ def run_experiments(
     timeout: Optional[float] = None,
     retries: int = 1,
     reporter=None,
-    explore_parallel: Optional[int] = None,
     engine: str = "auto",
 ) -> RunReport:
     """Run experiments through the task runtime; returns a report.
@@ -164,20 +163,14 @@ def run_experiments(
         timeout: per-task wall-clock limit (pool mode).
         retries: extra attempts per task on worker failure.
         reporter: progress sink (see :mod:`repro.runtime.progress`).
-        explore_parallel: worker shards for the state-space
-            explorations inside E1/E2 (``None`` = the
-            ``REPRO_EXPLORE_WORKERS`` environment default, then
-            serial).  Bound onto the task runner, never into task
-            specs, so it stays out of cache keys -- completed
-            explorations are identical at any count.
         engine: trial-engine selection, one of
             :data:`repro.core.trials.TRIAL_ENGINES`, threaded to
             engine-aware modules -- the delivery and pumping engines
             of the probabilistic shards (E3/E4).  Execution
-            configuration like ``explore_parallel``: all engines are
-            bit-identical, so it stays out of task specs and cache
-            keys; the request is recorded in the run manifest and the
-            tier each task ran in its metrics.
+            configuration: all engines are bit-identical, so it is
+            bound onto the task runner, never into task specs, and
+            stays out of cache keys; the request is recorded in the
+            run manifest and the tier each task ran in its metrics.
 
     Raises:
         TaskFailure: a task failed after all retries; no partial
@@ -190,15 +183,12 @@ def run_experiments(
             f"engine must be one of {TRIAL_ENGINES}, got {engine!r}"
         )
     runner = None
-    if explore_parallel is not None or engine != "auto":
+    if engine != "auto":
         # Bind the execution configuration onto the task body; the
-        # default keeps the executor's own runner (worker.execute
-        # falls back to the environment itself).
+        # default keeps the executor's own runner.
         from repro.runtime.worker import execute
 
-        runner = functools.partial(
-            execute, explore_parallel=explore_parallel, engine=engine
-        )
+        runner = functools.partial(execute, engine=engine)
 
     specs = plan_tasks(names, fast=fast, seed=seed)
     outcomes = run_tasks(

@@ -27,16 +27,15 @@ from repro.runtime.task import KIND_CELL, KIND_SHARD, KIND_WHOLE
 
 def execute(
     spec_dict: Dict[str, Any],
-    explore_parallel: Any = None,
     engine: Any = None,
 ) -> Dict[str, Any]:
     """Run one task; returns ``{"payload": ..., "wall_time": ...}``.
 
-    ``explore_parallel`` and ``engine`` are execution configuration,
-    not task identity: they are bound onto this function
-    (``functools.partial``) by the engine rather than carried in the
-    spec dict, so they never reach cache keys (all trial engines are
-    bit-identical, so the engine choice cannot change a payload).
+    ``engine`` is execution configuration, not task identity: it is
+    bound onto this function (``functools.partial``) by the engine
+    rather than carried in the spec dict, so it never reaches cache
+    keys (all trial engines are bit-identical, so the engine choice
+    cannot change a payload).
     ``engine`` reaches only shard modules that declare
     ``ENGINE_AWARE = True`` (via ``run_shard(..., engine=)``) and
     campaign cells; whole experiments ignore it.
@@ -61,23 +60,20 @@ def execute(
     elif kind == KIND_CELL:
         from repro.campaign.cells import run_cell
 
-        # Cells are uniformly engine-aware: the tier/worker choice is
-        # resolved inside the cell per kind, exactly as the bespoke
-        # experiments resolve it per shard.
+        # Cells are uniformly engine-aware: the tier choice is resolved
+        # inside the cell per kind, exactly as the bespoke experiments
+        # resolve it per shard.
         payload = run_cell(
             spec_dict["params"],
             fast,
             seed,
             engine=engine if engine is not None else "auto",
-            explore_parallel=explore_parallel,
         )
     elif kind == KIND_WHOLE:
         run = REGISTRY.get(name)
         if run is None:
             raise KeyError(f"unknown experiment {name!r}")
-        payload = run(
-            fast=fast, seed=seed, explore_parallel=explore_parallel
-        ).to_dict()
+        payload = run(fast=fast, seed=seed).to_dict()
     else:
         raise ValueError(f"unknown task kind {kind!r}")
     if not isinstance(payload, dict):

@@ -1,8 +1,9 @@
 """Unit tests: the ``check`` CLI rejects malformed arguments cleanly.
 
-A malformed ``--system`` name or an out-of-range bound is a usage
-error: argparse's exit code 2 with a message naming the argument, never
-a traceback and never a vacuous verdict.
+A malformed ``--system`` name, an empty ``--alphabet`` or an
+out-of-range bound is a usage error: argparse's exit code 2 with a
+message naming the argument, never a traceback and never a vacuous
+verdict.
 """
 
 import pytest
@@ -29,6 +30,19 @@ def test_malformed_system_is_a_usage_error(system, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert repr(system) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("alphabet", ["", ","], ids=["empty", "comma"])
+def test_empty_alphabet_is_a_usage_error(alphabet, capsys):
+    """An alphabet with no message would check a search that can never
+    inject, and report a vacuous HOLDS."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--property", "dl1-forgery", "--system", "sequence-eager",
+              "--alphabet", alphabet])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--alphabet" in err
     assert "Traceback" not in err
 
 

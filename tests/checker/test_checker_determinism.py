@@ -1,12 +1,11 @@
 """Determinism and completeness pins for the checker.
 
-The ISSUE-level contract: a check's verdict *and* its counterexample
-trace are bit-identical for the serial engine, the 2-shard and 4-shard
-process backends, the disk-backed visited set, and a checkpoint-resumed
-run.  The completeness matrix then guarantees every stock property has
-at least one violating and one satisfying station pair in the repo --
-a checker that has never caught a violation of a property is untested
-on it.
+The contract: a check's verdict *and* its counterexample trace are
+bit-identical whether parents are tracked inline or by the re-run, for
+the disk-backed visited set, and for a checkpoint-resumed run.  The
+completeness matrix then guarantees every stock property has at least
+one violating and one satisfying station pair in the repo -- a checker
+that has never caught a violation of a property is untested on it.
 """
 
 import pytest
@@ -63,10 +62,7 @@ def test_verdict_and_trace_identical_across_engines(
     expected_obs = observables(reference)
 
     variants = {
-        "2-shard": run(workers=2, use_processes=True),
-        "4-shard": run(workers=4, use_processes=True),
-        "2-shard-inline": run(workers=2, use_processes=True,
-                              trace="inline"),
+        "inline": run(trace="inline"),
         "disk": run(store="disk", store_dir=str(tmp_path / "store")),
     }
     for label, result in variants.items():
@@ -91,11 +87,12 @@ def test_resumed_run_identical(tmp_path):
 
 
 def test_resumed_sharded_run_identical(tmp_path):
+    """Inline parents ride the checkpoints: a resumed run reconstructs
+    the uninterrupted trace."""
     def run(**kwargs):
         sender, receiver = eager_pair()
         return check_protocol(sender, receiver, ["m"], "dl1-forgery",
-                              max_messages=2, workers=2,
-                              use_processes=True, trace="inline", **kwargs)
+                              max_messages=2, trace="inline", **kwargs)
 
     reference = run()
 

@@ -1,6 +1,6 @@
 """Unit tests: ``check_protocol`` verdicts, budgets and options.
 
-Determinism across backends/shards/stores/resume has its own module
+Determinism across stores and resume has its own module
 (``test_checker_determinism``); here each engine feature is exercised
 once on the cheapest system that demonstrates it.
 """
@@ -8,10 +8,8 @@ once on the cheapest system that demonstrates it.
 import pytest
 
 from repro.checker import CheckResult, check_protocol, make_property
-from repro.datalink.alternating_bit import make_alternating_bit
 from repro.datalink.broken import EagerReceiver
 from repro.datalink.sequence import SequenceSender, make_sequence_protocol
-from repro.ioa.exploration import ExplorationCapacityError
 
 
 def eager_pair():
@@ -194,9 +192,8 @@ class TestCheckpointResume:
 
         sender, receiver = make_sequence_protocol()
         kwargs = dict(
-            alphabet=["m"], max_messages=2, num_shards=1,
-            backend="in-process", track_parents=False, del_cap=0,
-            capacity=None, store="memory",
+            alphabet=["m"], max_messages=2, track_parents=False,
+            del_cap=0, capacity=None, store="memory",
         )
         one = checkpoint_key(
             sender, receiver, prop_spec="type-ok", **kwargs

@@ -116,3 +116,18 @@ def test_experiments_are_seed_deterministic():
     assert [t.render() for t in first.tables] == [
         t.render() for t in second.tables
     ]
+
+
+def test_exploration_worker_variable_cannot_change_tables(monkeypatch):
+    """The result cache keys on experiment, parameters, seed and code,
+    not on the environment, so nothing in it may steer an exploration.
+    E2's capacity-flood growth rows are cut by the visit budget; a
+    level-barrier cut would print 20002 and 20005 configurations where
+    the serial entry's exact cut prints 20000."""
+    monkeypatch.delenv("REPRO_EXPLORE_WORKERS", raising=False)
+    plain = run_experiment("headers", fast=True, seed=3)
+    monkeypatch.setenv("REPRO_EXPLORE_WORKERS", "2")
+    steered = run_experiment("headers", fast=True, seed=3)
+    assert [t.to_dict() for t in steered.tables] == [
+        t.to_dict() for t in plain.tables
+    ]

@@ -7,8 +7,8 @@ Satellite guarantees of the checker PR:
   unpickling crash, never silently wrong state;
 * :class:`~repro.ioa.exploration.ExplorationCapacityError` carries the
   partial result (levels completed, configurations seen) on both the
-  serial and the sharded entries, and every single-shard entry --
-  serial exploration, one in-process shard, the checker -- reports the
+  serial and the level-barrier entries, and every entry -- serial
+  exploration, the level-barrier entry, the checker -- reports the
   same progress.
 """
 
@@ -42,15 +42,14 @@ def observables(result):
 def run_checkpointed(ckpt_dir, **kwargs):
     sender, receiver = make_sequence_protocol()
     return explore_station_states_parallel(
-        sender, receiver, ["m"], max_messages=2, workers=1,
-        use_processes=False, checkpoint_every=1, checkpoint_dir=ckpt_dir,
-        **kwargs,
+        sender, receiver, ["m"], max_messages=2, checkpoint_every=1,
+        checkpoint_dir=ckpt_dir, **kwargs,
     )
 
 
 def checkpoint_file(ckpt_dir):
     sender, receiver = make_sequence_protocol()
-    key = checkpoint_key(sender, receiver, ["m"], 2, 1, "in-process")
+    key = checkpoint_key(sender, receiver, ["m"], 2)
     return checkpoint_path(ckpt_dir, key)
 
 
@@ -134,8 +133,7 @@ class TestCapacityPartials:
         sender, receiver = make_sequence_protocol()
         with pytest.raises(ExplorationCapacityError) as excinfo:
             explore_station_states_parallel(
-                sender, receiver, ["m"], max_messages=3, workers=1,
-                use_processes=False,
+                sender, receiver, ["m"], max_messages=3
             )
         err = excinfo.value
         assert err.partial is not None
@@ -154,9 +152,7 @@ class TestCapacityPartials:
         progress = []
         for explore in (
             explore_station_states,
-            lambda *args, **kwargs: explore_station_states_parallel(
-                *args, workers=1, use_processes=False, **kwargs
-            ),
+            explore_station_states_parallel,
         ):
             with pytest.raises(ExplorationCapacityError) as excinfo:
                 explore(*make_sequence_protocol(), ["m"], max_messages=3)
