@@ -10,7 +10,8 @@ physical channels into one reliable FIFO message pipe, satisfying:
 This package contains:
 
 * :mod:`repro.datalink.spec` -- (DL1)/(DL2)/(DL3) and (PL1) as
-  machine-checkable predicates over recorded executions;
+  machine-checkable predicates, checked online by a sink on a live run
+  or over a recorded execution;
 * :mod:`repro.datalink.stations` -- the sender/receiver station
   automaton API protocols implement;
 * :mod:`repro.datalink.system` -- the composition/simulation engine;
@@ -53,6 +54,8 @@ from repro.datalink.window import (
 )
 from repro.datalink.spec import (
     SpecReport,
+    SpecSink,
+    SpecViolated,
     SpecViolation,
     check_dl1,
     check_dl1_dl2,
@@ -84,6 +87,8 @@ __all__ = [
     "SequenceReceiver",
     "SequenceSender",
     "SpecReport",
+    "SpecSink",
+    "SpecViolated",
     "SpecViolation",
     "check_dl1",
     "check_dl1_dl2",

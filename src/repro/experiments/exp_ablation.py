@@ -34,11 +34,12 @@ from repro.core.theorem31 import HeaderExhaustionAttack
 from repro.core.theorem51 import run_probabilistic_delivery
 from repro.datalink.alternating_bit import make_alternating_bit
 from repro.datalink.flooding import make_flooding
-from repro.datalink.spec import check_execution
+from repro.datalink.spec import SpecSink, SpecViolated, check_execution
 from repro.datalink.system import DataLinkSystem, make_system
 from repro.channels.fifo import FifoChannel
 from repro.experiments.base import ExperimentResult
 from repro.ioa.actions import Direction
+from repro.ioa.execution import TraceMode
 
 EXP_ID = "E6"
 TITLE = "Ablations: phase count, FIFO vs non-FIFO, trickle, TTL"
@@ -58,12 +59,19 @@ def _ablation_phase_count(result: ExperimentResult, fast: bool, seed: int):
             seed=seed,
             packet_budget=300_000,
         )
-        # Safety verdict needs the execution; rerun capturing it.
+        # The safety verdict reruns the same channel seed with the spec
+        # checked online; the rerun ends at the first violation.
+        spec = SpecSink(stop=True)
         sender, receiver = make_flooding(phases)
-        system = make_system(sender, receiver, q=0.3, seed=seed)
-        system.run(["m"] * n, max_steps=500_000)
-        report = check_execution(system.execution)
-        safe = report.ok
+        system = make_system(
+            sender, receiver, q=0.3, seed=seed,
+            trace_mode=TraceMode.COUNTS, sinks=[spec],
+        )
+        try:
+            system.run(["m"] * n, max_steps=500_000)
+        except SpecViolated:
+            pass
+        safe = spec.report().ok
         xs = [float(i) for i in range(1, run_result.delivered + 1)]
         if run_result.delivered >= 3:
             kind, value = classify_growth(

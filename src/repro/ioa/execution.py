@@ -23,11 +23,14 @@ stack:
 
 * ``TraceMode.FULL`` (default) -- stack ``[CountsSink,
   FullTraceSink]``: every action is also materialised as an
-  :class:`Event`.  Spec checking (:mod:`repro.datalink.spec`) and the
-  replay attack (:mod:`repro.core.replay`) require this mode.
+  :class:`Event`.  Checking a recorded execution afterwards
+  (:func:`~repro.datalink.spec.check_execution`) and the replay attack
+  (:mod:`repro.core.replay`) require this mode.
 * ``TraceMode.COUNTS`` -- stack ``[CountsSink]``: no ``Event`` or
   ``Action`` objects are allocated; event-level views raise
-  :class:`TraceElidedError` naming the view and the active stack.
+  :class:`TraceElidedError` naming the view and the active stack.  The
+  spec can still be checked online, by attaching a
+  :class:`~repro.datalink.spec.SpecSink`.
 
 Either way, extra sinks (e.g. a
 :class:`~repro.ioa.sinks.MetricsSink`) can be appended via the
@@ -59,8 +62,9 @@ class TraceMode(enum.Enum):
     """Constructor shim: which standard sinks an execution starts with.
 
     FULL: ``[CountsSink, FullTraceSink]`` -- every action becomes an
-        :class:`Event` (the default; needed by the spec checkers, the
-        replay attack and anything that walks ``events``).
+        :class:`Event` (the default; needed by the replay attack, the
+        spec check of a recorded execution and anything that walks
+        ``events``).
     COUNTS: ``[CountsSink]`` -- only the Definition-2 counters and
         packet-value sets are kept; per-event allocation is skipped
         entirely.
@@ -73,10 +77,12 @@ class TraceMode(enum.Enum):
 class TraceElidedError(RuntimeError):
     """An event-level view was requested but no trace sink is attached.
 
-    Seeing this means a consumer that needs full traces (spec checker,
-    replay, extension finder) was handed a counters-only execution;
-    construct the system with ``trace_mode=TraceMode.FULL`` instead.
-    The message names the requested view and the active sink stack.
+    Seeing this means a consumer that needs full traces (spec check of
+    a recorded execution, replay, extension finder) was handed a
+    counters-only execution; construct the system with
+    ``trace_mode=TraceMode.FULL`` instead, or, to check the spec,
+    attach a :class:`~repro.datalink.spec.SpecSink` to the run.  The
+    message names the requested view and the active sink stack.
     """
 
 

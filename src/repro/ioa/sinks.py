@@ -13,8 +13,10 @@ entirely determined by which sinks are attached:
   always first in the stack, so counter reads are O(1) in every mode.
 * :class:`FullTraceSink` -- materialises every action as an
   :class:`~repro.ioa.execution.Event`.  Present exactly when the
-  execution runs in ``TraceMode.FULL``; the spec checkers, the replay
-  attack and the extension finder read its event list.
+  execution runs in ``TraceMode.FULL``; the replay attack, the
+  extension finder and the spec check of a recorded execution read its
+  event list.  A live run needs no event list to be spec-checked:
+  :class:`~repro.datalink.spec.SpecSink` checks it one event at a time.
 * :class:`MetricsSink` -- cheap operational telemetry (per-direction
   packet counts and rates, peak copies outstanding, engine steps,
   optional step latencies).  Attach one to export engine health into
@@ -192,8 +194,8 @@ class FullTraceSink(ExecutionSink):
     """Materialises every recorded action as an ``Event``.
 
     The event list feeds everything that replays or audits history:
-    the (PL1)/(DL1) spec checkers, the replay attack, the extension
-    finder and the clone machinery.
+    the spec check of a recorded execution, the replay attack, the
+    extension finder and the clone machinery.
     """
 
     __slots__ = ("events", "_event_cls")

@@ -3,8 +3,11 @@
 A malformed ``--system`` name, an empty ``--alphabet`` or an
 out-of-range bound is a usage error: argparse's exit code 2 with a
 message naming the argument, never a traceback and never a vacuous
-verdict.
+verdict.  The last test reads the spec verdict the ``--json`` output
+gives for a counterexample.
 """
+
+import json
 
 import pytest
 
@@ -80,3 +83,13 @@ def test_check_protocol_rejects_out_of_range_bounds(kwargs, name):
 def test_exploration_rejects_out_of_range_bounds(kwargs, name):
     with pytest.raises(ValueError, match=name):
         explore_station_states(*make_sequence_protocol(), ["m"], **kwargs)
+
+
+def test_forgery_counterexample_reports_no_pending_messages(capsys):
+    """The forged run sends 1 message and delivers 2: its one send is
+    matched, so nothing is pending (``sm - rm`` would say -1)."""
+    assert main(["--property", "dl1-forgery", "--json",
+                 "--expect", "violated"]) == 0
+    spec = json.loads(capsys.readouterr().out)["counterexample"]["spec"]
+    assert [v["property"] for v in spec["violations"]] == ["DL1", "DL1/DL2"]
+    assert spec["pending_messages"] == 0

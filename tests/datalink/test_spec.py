@@ -184,6 +184,19 @@ class TestLiveness:
                                  receive_msg("a"))
         assert check_liveness(execution) == 1
 
+    def test_forged_delivery_leaves_nothing_pending(self):
+        """A forged receipt matches no send: sm 1 and rm 2 leave 0
+        pending, not -1."""
+        execution = execution_of(
+            send_msg("m"), receive_msg("m"), receive_msg("m")
+        )
+        assert check_liveness(execution) == 0
+        assert check_execution(execution).pending_messages == 0
+
+    def test_wrong_payload_does_not_deliver_the_sent_one(self):
+        execution = execution_of(send_msg("a"), receive_msg("b"))
+        assert check_liveness(execution) == 1
+
 
 class TestCombinedReport:
     def test_valid_execution(self):
