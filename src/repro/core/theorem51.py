@@ -102,9 +102,13 @@ def run_probabilistic_delivery(
             :class:`~repro.channels.probabilistic.TricklePolicy`).
             The default NEVER keeps them in the stale pool, the
             configuration the theorem's adversary distribution models.
-        packet_budget: optional early stop once this many packets have
-            been sent -- exponential runs get expensive fast, and the
-            truncated series is still fit-able.
+        packet_budget: optional early stop, checked only after a
+            message is delivered: the run ends once the cumulative
+            packet count (both directions) has reached this many.
+            Exponential runs get expensive fast, and the truncated
+            series is still fit-able.  A message that never completes
+            is not cut short, so a stalled run keeps sending until
+            ``max_steps`` runs out, far past the budget.
         trace_mode: the run only consumes Definition-2 counters, so it
             defaults to ``TraceMode.COUNTS`` (no per-event allocation).
             Pass ``TraceMode.FULL`` to keep the event list, e.g. to
@@ -125,7 +129,16 @@ def run_probabilistic_delivery(
 
     Returns:
         The per-message cumulative packet series and final pool size.
+
+    Raises:
+        ValueError: ``n`` or ``max_steps`` is negative, or ``engine``
+            is unknown (or ``"batch"`` and the configuration is
+            outside the batch engine's envelope).
     """
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps}")
     if engine not in trials.TRIAL_ENGINES:
         raise ValueError(
             f"engine must be one of {trials.TRIAL_ENGINES}, got {engine!r}"

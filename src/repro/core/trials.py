@@ -18,6 +18,10 @@ Bit-identity is the contract, not an aspiration:
   ``random.Random(seed)`` / ``Random(seed + 1)`` streams in the same
   order (one draw per send, at send time), so every coin lands the
   same way;
+* a run of receipts the receiver absorbs without output
+  (``ReceiverStation.silent_copies``) is replayed in bulk: the same
+  coins in the same order, with the counters and both stations
+  reconciled afterwards, because nothing else moves meanwhile;
 * the per-message loop of
   :func:`~repro.core.theorem51.run_probabilistic_delivery` and the
   two-phase hoarding of :func:`~repro.core.theorem41.plant_backlog`
@@ -342,6 +346,52 @@ class ProbabilisticTrialEngine:
             if deliveries or outgoing:
                 pump_receiver()
 
+        # Bulk hooks for runs of silent receipts: only interpreted
+        # kernels whose receiver absorbs duplicates without output (and
+        # whose sender commits without changing state) expose them.
+        rcv_silent = rcv.silent
+        rcv_absorb = rcv.absorb
+        snd_commit_run = snd.commit_run
+        quiet = rcv_silent is not None and snd_commit_run is not None
+
+        def quiet_run(v: int, k: int, limit: int) -> int:
+            # Up to ``limit`` steps while the sender re-sends ``v`` and
+            # the receiver absorbs the next ``k`` copies silently; ends
+            # right after the k-th absorbed copy.  Each step is step()
+            # with its no-op parts removed: one send and its t2r coin,
+            # and the copy, if lucky, delivered at once.  Nothing else
+            # moves -- the receiver sends nothing (r2t and its rng stay
+            # untouched), the sender receives nothing and its commit is
+            # idle (so ready() and offer() hold), and the oracle is only
+            # read outside this loop -- so the counters, the t2r pool
+            # and both stations are reconciled in bulk afterwards.
+            nonlocal length, sp_t2r, rp_t2r, peak_t2r
+            rand = t2r_rand
+            out = sp_t2r - rp_t2r
+            peak = peak_t2r
+            absorbed = 0
+            sends = 0
+            for sends in range(1, limit + 1):
+                # The outstanding count peaks right after a send.
+                out += 1
+                if out > peak:
+                    peak = out
+                if rand() >= q:
+                    out -= 1
+                    absorbed += 1
+                    if absorbed == k:
+                        break
+            length += sends + absorbed
+            sp_t2r += sends
+            rp_t2r += absorbed
+            peak_t2r = peak
+            t2r.sent_total += sends
+            t2r.size += sends - absorbed
+            t2r_counts[v] = t2r_counts.get(v, 0) + sends - absorbed
+            snd_commit_run(sends)
+            rcv_absorb(v, absorbed)
+            return sends
+
         def run_one(budget: int) -> Tuple[int, bool]:
             # DataLinkSystem.run([message], max_steps=budget).  The
             # local ``rm`` counter tracks the kernel's
@@ -359,6 +409,13 @@ class ProbabilisticTrialEngine:
                     pending = False
                 if not pending and rm >= goal and snd_ready():
                     break
+                if quiet and not (deliveries or outgoing):
+                    v = snd_offer()
+                    if v >= 0:
+                        k = rcv_silent(v)
+                        if k > 0:
+                            steps += quiet_run(v, k, budget - steps)
+                            continue
                 step()
                 steps += 1
             completed = not pending and rm >= goal and snd_ready()

@@ -51,6 +51,7 @@ which :class:`~repro.datalink.system.DataLinkSystem.step` guarantees.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.channels.packets import Packet
@@ -62,6 +63,9 @@ ACK = "ACK"
 
 ORACLE = "oracle"
 CAPACITY = "capacity"
+
+#: ``FloodingReceiver.silent_copies`` of a packet ``on_packet`` ignores.
+_UNBOUNDED = sys.maxsize
 
 
 def data_packet(phase: int, message: Hashable) -> Packet:
@@ -225,6 +229,26 @@ class FloodingReceiver(ReceiverStation):
             # A duplicate of the message we already accepted: its acks
             # may all have been lost or delayed, so ack again.
             self.queue_packet(ack_packet(phase))
+
+    def silent_copies(self, packet: Packet) -> int:
+        # Follows on_packet's branches: awaited-phase copies only count
+        # until one outnumbers the threshold, previous-phase copies
+        # re-ack, and everything else is ignored.
+        kind, phase = packet.header
+        if kind != DATA:
+            return _UNBOUNDED
+        if phase == self.awaited_phase:
+            return max(
+                0, self._data_threshold - self._counts.get(packet.body, 0)
+            )
+        if self._awaiting > 0 and phase == (self._awaiting - 1) % self.phases:
+            return 0
+        return _UNBOUNDED
+
+    def absorb_copies(self, packet: Packet, count: int) -> None:
+        if count and packet.header == (DATA, self.awaited_phase):
+            body = packet.body
+            self._counts[body] = self._counts.get(body, 0) + count
 
     def _accept(self, body: Hashable) -> None:
         accepted_phase = self.awaited_phase

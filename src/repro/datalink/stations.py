@@ -261,6 +261,30 @@ class ReceiverStation(IOAutomaton):
         self.on_packet(packet)
 
     # ------------------------------------------------------------------
+    # bulk receipt (a lookahead for the batch delivery engine)
+    # ------------------------------------------------------------------
+    def silent_copies(self, packet: Packet) -> int:
+        """How many copies of ``packet``, received back to back from the
+        current state, :meth:`on_packet` would absorb without queuing
+        any output and without reading the channel oracle.
+
+        The count must be exact: the copy after the last silent one
+        queues output.  Default: 0 (no lookahead).
+        """
+        return 0
+
+    def absorb_copies(self, packet: Packet, count: int) -> None:
+        """The state change of ``count`` back-to-back :meth:`on_packet`
+        calls, for ``count <= silent_copies(packet)``.
+
+        Default: the calls themselves.  An override must leave the same
+        :meth:`protocol_fields` as those calls, and ``count == 0`` must
+        change nothing.
+        """
+        for _ in range(count):
+            self.on_packet(packet)
+
+    # ------------------------------------------------------------------
     # protocol hooks
     # ------------------------------------------------------------------
     def on_packet(self, packet: Packet) -> None:

@@ -274,6 +274,9 @@ class CompiledSender(CompiledAutomaton):
         "initial", "cur", "packets_sent",
     )
 
+    #: No bulk commit: a commit may move the table state.
+    commit_run: Optional[Callable[[int], None]] = None
+
     def __init__(self, prototype, values: ValueIntern) -> None:
         super().__init__(values)
         self._proto = prototype
@@ -435,6 +438,10 @@ class CompiledReceiver(CompiledAutomaton):
         "initial", "cur", "deliveries", "outgoing", "messages_delivered",
     )
 
+    #: No silent-receipt lookahead on the tables.
+    silent: Optional[Callable[[int], int]] = None
+    absorb: Optional[Callable[[int, int], None]] = None
+
     def __init__(self, prototype, values: ValueIntern) -> None:
         super().__init__(values)
         self._proto = prototype
@@ -569,6 +576,10 @@ class InterpretedSender:
     ``offer`` keeps an identity memo -- stations re-offer the *same*
     packet object across retransmissions, so the common case returns
     the cached value id without touching the intern table.
+    ``commit_run(count)`` commits ``count`` transmissions at once; it
+    is ``None`` unless a commit provably leaves the protocol state
+    alone (stock ``commit_packet`` and the base no-op
+    ``on_packet_sent``).
 
     Each closure is additionally *specialised* when the station keeps
     the base-class version of the plumbing method behind it (checked by
@@ -585,6 +596,7 @@ class InterpretedSender:
     __slots__ = (
         "station", "values",
         "ready", "accept_message", "accept_packet", "offer", "commit",
+        "commit_run",
     )
 
     def __init__(self, station, values: ValueIntern, oracle=None) -> None:
@@ -648,6 +660,7 @@ class InterpretedSender:
                     offered_vid = intern(packet)
                 return offered_vid
 
+        commit_run: Optional[Callable[[int], None]] = None
         if cls.commit_packet is SenderStation.commit_packet:
             # Base body: count the transmission, then the
             # on_packet_sent hook -- elided entirely when it is the
@@ -655,6 +668,11 @@ class InterpretedSender:
             if cls.on_packet_sent is SenderStation.on_packet_sent:
                 def commit() -> None:
                     station.packets_sent += 1
+
+                def count_commits(count: int) -> None:
+                    station.packets_sent += count
+
+                commit_run = count_commits
             else:
                 on_packet_sent = station.on_packet_sent
 
@@ -671,6 +689,7 @@ class InterpretedSender:
         self.accept_packet = accept_packet
         self.offer = offer
         self.commit = commit
+        self.commit_run = commit_run
 
     @property
     def packets_sent(self) -> int:
@@ -703,6 +722,11 @@ class InterpretedReceiver:
     so engines can test emptiness without any call, and the pop
     closures drain those deques directly -- performing the base
     bodies' popleft-and-count inline.
+
+    With that plumbing and a stock ``accept_packet``, a station that
+    overrides ``silent_copies`` also gets ``silent(vid)`` and
+    ``absorb(vid, count)``: its silent-receipt lookahead and bulk
+    receipt in value-id space.  Both are ``None`` otherwise.
     """
 
     kind = "interpreted"
@@ -710,6 +734,7 @@ class InterpretedReceiver:
     __slots__ = (
         "station", "values", "queues",
         "accept", "has_pending", "pop_delivery", "pop_control",
+        "silent", "absorb",
     )
 
     def __init__(self, station, values: ValueIntern, oracle=None) -> None:
@@ -800,9 +825,29 @@ class InterpretedReceiver:
                     last_packet_vid = intern(packet)
                 return last_packet_vid
 
+        silent: Optional[Callable[[int], int]] = None
+        absorb: Optional[Callable[[int, int], None]] = None
+        if (
+            stock_queues
+            and cls.accept_packet is ReceiverStation.accept_packet
+            and cls.silent_copies is not ReceiverStation.silent_copies
+        ):
+            silent_copies = station.silent_copies
+            absorb_copies = station.absorb_copies
+
+            def silent_vid(vid: int) -> int:
+                return silent_copies(vals[vid])
+
+            def absorb_vid(vid: int, count: int) -> None:
+                absorb_copies(vals[vid], count)
+
+            silent, absorb = silent_vid, absorb_vid
+
         self.accept = accept
         self.pop_delivery = pop_delivery
         self.pop_control = pop_control
+        self.silent = silent
+        self.absorb = absorb
 
     @property
     def messages_delivered(self) -> int:

@@ -52,6 +52,21 @@ def test_delivery_cell_engine_tiers_identical():
     assert reference["metrics"]["engine"] == "interpreted"
 
 
+def test_delivery_cell_rejects_negative_message_count():
+    task = compiled_cell(
+        CellGroup(
+            cell="delivery",
+            protocol="sequence",
+            template="q={q}",
+            grid={"q": [0.2]},
+            params={"n": -2},
+            metrics=["delivered", "completed"],
+        )
+    )
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        run_cell(task.params, True, task.seed)
+
+
 def test_adversary_cell_with_seeded_adversary():
     group = CellGroup(
         cell="adversary",

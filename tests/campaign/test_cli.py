@@ -125,6 +125,24 @@ def test_invalid_spec_exits_2(cli_runs, tmp_path):
     assert "error:" in result.stderr
 
 
+def test_negative_message_count_fails_the_run(cli_runs, tmp_path):
+    spec = tmp_path / "negative.json"
+    spec.write_text(json.dumps({
+        "name": "negative",
+        "groups": [{
+            "cell": "delivery",
+            "label": "delivery",
+            "grid": {"protocol": ["sequence"]},
+            "params": {"q": 0.2, "n": -2},
+            "metrics": ["delivered", "completed"],
+        }],
+    }), encoding="utf-8")
+    result = run_cli(["campaign", str(spec), "--no-cache"], tmp_path, tmp_path)
+    assert result.returncode != 0
+    assert "overall: PASS" not in result.stdout
+    assert "n must be non-negative" in result.stderr
+
+
 def test_list_prints_registries(cli_runs, tmp_path):
     result = run_cli(["list"], tmp_path, tmp_path)
     assert result.returncode == 0

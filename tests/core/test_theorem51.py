@@ -1,8 +1,11 @@
 """Tests for the Theorem 5.1 probabilistic experiment driver."""
 
+import pytest
+
 from repro.analysis.growth import fit_exponential, fit_linear
 from repro.channels.probabilistic import TricklePolicy
 from repro.core.theorem51 import run_probabilistic_delivery
+from repro.core.trials import TRIAL_ENGINES
 from repro.datalink.flooding import make_flooding
 from repro.datalink.sequence import make_sequence_protocol
 
@@ -48,6 +51,27 @@ class TestDriver:
         )
         assert not result.completed or result.total_packets < 4_000
         assert result.total_packets >= 2_000 or result.delivered < 60
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [("n", dict(n=-1)), ("max_steps", dict(n=3, max_steps=-1))],
+    )
+    def test_negative_counts_are_rejected_on_every_tier(self, name, kwargs):
+        messages = set()
+        for engine in TRIAL_ENGINES:
+            with pytest.raises(ValueError) as excinfo:
+                run_probabilistic_delivery(
+                    make_sequence_protocol, q=0.2, engine=engine, **kwargs
+                )
+            messages.add(str(excinfo.value))
+        (message,) = messages
+        assert message.startswith(f"{name} must be non-negative")
+
+    def test_zero_counts_are_accepted(self):
+        result = run_probabilistic_delivery(
+            make_sequence_protocol, q=0.2, n=0, max_steps=0
+        )
+        assert result.completed and result.delivered == 0
 
 
 class TestShapes:

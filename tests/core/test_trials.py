@@ -109,6 +109,31 @@ def test_metrics_sink_counters_match_interpreted():
     assert sink_b.snapshot() == sink_i.snapshot()
 
 
+@pytest.mark.parametrize("q", [0.3, 0.5])
+@pytest.mark.parametrize("seed", range(4))
+def test_stalled_k1_flooding_matches_interpreted(q, seed):
+    """E6(a)'s K=1 regime: the sender never becomes ready again and the
+    receiver silently counts copies of a growing stale pool, so the
+    batch tier absorbs almost every receipt in bulk.  The result and
+    every MetricsSink counter (the t2r peak included) match the
+    interpreted tier."""
+    common = dict(
+        q=q, n=18, seed=seed, packet_budget=300_000,
+        max_steps=30_000 + 10_000 * seed,
+    )
+    runs = {}
+    for engine in ("interpreted", "batch"):
+        sink = MetricsSink(count_steps=False)
+        result = run_probabilistic_delivery(
+            lambda: make_flooding(1), engine=engine, sinks=[sink], **common
+        )
+        runs[engine] = (dataclasses.asdict(result), sink.snapshot())
+    assert runs["batch"] == runs["interpreted"]
+    result, _ = runs["batch"]
+    assert not result["completed"]
+    assert result["steps"] == common["max_steps"]
+
+
 def test_engine_rejects_unknown_name():
     with pytest.raises(ValueError, match="engine"):
         run_probabilistic_delivery(

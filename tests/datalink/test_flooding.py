@@ -8,13 +8,20 @@ proves a fresh packet, for any phase modulus K >= 2.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channels.adversary import (
     FairAdversary,
     OptimalAdversary,
     RandomAdversary,
 )
+from repro.channels.packets import Packet
 from repro.datalink.flooding import (
+    ACK,
+    CAPACITY,
+    DATA,
+    ORACLE,
     FloodingReceiver,
     FloodingSender,
     data_packet,
@@ -216,3 +223,81 @@ class TestThresholdMechanics:
             Direction.R2T, system.chan_r2t.in_transit_ids()[0]
         )
         assert system.sender.ready_for_message()
+
+
+class _CountingOracle:
+    """Answers every threshold query with ``stale`` and counts reads."""
+
+    def __init__(self, stale):
+        self.stale = stale
+        self.reads = 0
+
+    def count_matching(self, direction, predicate):
+        self.reads += 1
+        return self.stale
+
+
+BODIES = ["a", "b", None]
+
+receiver_states = st.builds(
+    dict,
+    phases=st.integers(min_value=1, max_value=4),
+    mode=st.sampled_from([ORACLE, CAPACITY]),
+    capacity=st.integers(min_value=0, max_value=6),
+    awaiting=st.integers(min_value=0, max_value=9),
+    threshold=st.integers(min_value=0, max_value=70),
+    counts=st.dictionaries(
+        st.sampled_from(BODIES), st.integers(min_value=0, max_value=75)
+    ),
+    stale=st.integers(min_value=0, max_value=5),
+)
+
+packets = st.builds(
+    lambda kind, phase, body: Packet(header=(kind, phase), body=body),
+    st.sampled_from([DATA, ACK, "NACK"]),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from(BODIES),
+)
+
+
+class TestSilentCopies:
+    """``silent_copies``/``absorb_copies`` are an exact lookahead of
+    ``on_packet``: the batch delivery engine absorbs a run of copies in
+    bulk on their strength."""
+
+    @staticmethod
+    def receiver_in(state):
+        receiver = FloodingReceiver(
+            state["phases"], state["mode"], state["capacity"]
+        )
+        receiver.oracle = _CountingOracle(state["stale"])
+        receiver.set_protocol_fields(
+            (
+                state["awaiting"],
+                state["threshold"],
+                tuple(state["counts"].items()),
+            )
+        )
+        return receiver
+
+    @given(state=receiver_states, packet=packets)
+    @settings(max_examples=200, deadline=None)
+    def test_absorb_matches_repeated_on_packet(self, state, packet):
+        stepped = self.receiver_in(state)
+        silent = stepped.silent_copies(packet)
+        assert silent >= 0
+        bound = min(silent, 64)
+        # j = 0 included: absorbing no copies changes nothing.
+        for j in range(bound + 1):
+            absorbed = self.receiver_in(state)
+            absorbed.absorb_copies(packet, j)
+            assert absorbed.protocol_fields() == stepped.protocol_fields()
+            assert not absorbed.has_pending_output()
+            assert not stepped.has_pending_output()
+            assert absorbed.oracle.reads == stepped.oracle.reads == 0
+            if j < bound:
+                stepped.on_packet(packet)
+        if silent == bound:
+            # Exact, not merely safe: the next copy queues output.
+            stepped.on_packet(packet)
+            assert stepped.has_pending_output()

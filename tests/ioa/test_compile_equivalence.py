@@ -337,6 +337,28 @@ def test_kernel_kind_matches_the_gate(name, factory):
         assert skern.kind == "table" and rkern.kind == "table"
 
 
+@pytest.mark.parametrize("name, factory", CASES, ids=CASE_IDS)
+def test_bulk_hooks_follow_the_gate(name, factory):
+    """Only interpreted ``FloodingReceiver`` kernels get the silent-run
+    hooks, and ``commit_run`` exists only where a commit cannot change
+    the sender's state."""
+    sender, receiver = factory()
+    values = ValueIntern()
+    skern = compile_automaton(sender, values)
+    rkern = compile_automaton(receiver, values)
+    assert (rkern.silent is None) == (rkern.absorb is None)
+    if rkern.silent is not None:
+        assert type(receiver) is FloodingReceiver
+        assert rkern.kind == "interpreted"
+    if name == "flooding_oracle":
+        assert rkern.silent is not None and skern.commit_run is not None
+    if skern.kind == "table" or name in ("gobackn", "window", "forgetful"):
+        # Table commits may move the state; Go-Back-N and the window
+        # sender override commit_packet; ForgetfulSender's
+        # on_packet_sent clears current_packet.
+        assert skern.commit_run is None
+
+
 def test_compile_rejects_non_station_automata():
     from repro.ioa.automaton import IOAutomaton
 
