@@ -88,7 +88,10 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
         metavar="SECONDS",
         type=float,
         default=None,
-        help="per-task wall-clock limit (parallel mode)",
+        help=(
+            "per-task wall-clock limit; tasks then run in worker "
+            "processes (at least one), so it is enforced on every path"
+        ),
     )
     parser.add_argument(
         "--quiet",

@@ -153,11 +153,22 @@ def measure_boundness(
 
 @dataclass
 class Theorem21Verdict:
-    """Result of checking ``boundness <= k_t * k_r`` for one protocol."""
+    """Result of checking ``boundness <= k_t * k_r`` for one protocol.
 
-    boundness: int
+    Attributes:
+        report: the boundness samples the verdict was measured on.
+        exploration: the station-state enumeration giving ``k_t``/``k_r``.
+        holds: ``boundness <= state_product``.
+    """
+
+    report: BoundnessReport
     exploration: ExplorationResult
     holds: bool
+
+    @property
+    def boundness(self) -> int:
+        """The measured boundness (max extension cost over samples)."""
+        return self.report.boundness
 
     @property
     def state_product(self) -> int:
@@ -187,7 +198,7 @@ def verify_theorem21(
         sender, receiver, [message], **(exploration_kwargs or {})
     )
     return Theorem21Verdict(
-        boundness=report.boundness,
+        report=report,
         exploration=exploration,
         holds=report.boundness <= exploration.state_product,
     )

@@ -23,7 +23,7 @@ from typing import Callable, List, Tuple
 
 from repro.analysis.tables import Table
 from repro.campaign.spec import CampaignSpec, CellGroup
-from repro.core.boundness import measure_boundness, verify_theorem21
+from repro.core.boundness import verify_theorem21
 from repro.datalink.alternating_bit import make_alternating_bit
 from repro.datalink.flooding import make_capacity_flooding
 from repro.datalink.sequence import make_sequence_protocol
@@ -43,11 +43,10 @@ CAMPAIGN = CampaignSpec(
     groups=[CellGroup(cell="experiment", whole=True)],
 )
 
-# Exploration visit budget.  Slow mode affords 4x the configurations
-# the pre-parallel engine explored (60k): the interned kernel plus the
-# sharded engine (PR "parallel sharded exploration") cover the larger
-# region in comparable wall-clock time, and a deeper region tightens
-# the truncated k_t/k_r over-approximations.
+# Exploration visit budget; slow mode explores a 4x larger region.
+# Only capacity-flood(K=2,B=1) reaches it: the set-abstracted channel
+# gives that row an unbounded state space, so a deeper region raises
+# its k_r (20,002 at 60k, 80,002 at 240k) instead of tightening it.
 FAST_BUDGET = 60_000
 SLOW_BUDGET = 240_000
 
@@ -103,12 +102,6 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
                 ),
             },
         )
-        report = measure_boundness(
-            factory,
-            prefix_lengths=prefixes,
-            seeds=seeds,
-            max_steps=5_000,
-        )
         table.add_row(
             [
                 label,
@@ -116,7 +109,7 @@ def run(fast: bool = False, seed: int = 0) -> ExperimentResult:
                 verdict.exploration.k_r,
                 verdict.state_product,
                 verdict.boundness,
-                len(report.samples),
+                len(verdict.report.samples),
                 verdict.holds,
             ]
         )

@@ -9,11 +9,13 @@ or one::
     python -m repro.experiments backlog --fast
 
 Execution goes through the :mod:`repro.runtime` engine: experiments
-decompose into seed-sharded tasks that run serially or across a
-process pool (``--parallel N``), with results cached on disk under
-``$REPRO_CACHE_DIR`` when set, else ``.repro-cache/`` (override with
-``--cache-dir DIR``, disable with ``--no-cache``), and a structured
-run manifest available via ``--json PATH``.
+decompose into seed-sharded tasks that run across a process pool of
+one worker per usable CPU, capped at the number of experiments with
+uncached tasks (``--parallel N`` fixes the count; a single experiment,
+a warm cache or one CPU runs serially in-process), with results cached
+on disk under ``$REPRO_CACHE_DIR`` when set, else ``.repro-cache/``
+(override with ``--cache-dir DIR``, disable with ``--no-cache``), and
+a structured run manifest available via ``--json PATH``.
 
 Sibling subcommands (each owns its own flag namespace):
 
@@ -172,8 +174,12 @@ def main(argv=None) -> int:
         "--parallel",
         metavar="N",
         type=int,
-        default=1,
-        help="worker processes (default 1 = serial in-process)",
+        default=None,
+        help=(
+            "worker processes; 1 = serial in-process (default: one per "
+            "usable CPU, capped at the number of experiments with "
+            "uncached tasks, so a single experiment runs serially)"
+        ),
     )
     parser.add_argument(
         "--engine",
@@ -213,7 +219,10 @@ def main(argv=None) -> int:
         metavar="SECONDS",
         type=float,
         default=None,
-        help="per-task wall-clock limit (parallel mode)",
+        help=(
+            "per-task wall-clock limit; tasks then run in worker "
+            "processes (at least one), so it is enforced on every path"
+        ),
     )
     parser.add_argument(
         "--quiet",
@@ -234,7 +243,7 @@ def main(argv=None) -> int:
             f"unknown experiment {args.experiment!r}; choose from "
             f"{sorted(REGISTRY)} or 'all'"
         )
-    if args.parallel < 1:
+    if args.parallel is not None and args.parallel < 1:
         parser.error("--parallel must be >= 1")
 
     cache = (

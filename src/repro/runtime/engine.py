@@ -5,7 +5,10 @@ library users.  It plans the run (:func:`plan_tasks`), settles every
 task through :func:`repro.runtime.executor.run_tasks` (cache first,
 then pool or serial execution), merges shard payloads back into
 :class:`~repro.experiments.base.ExperimentResult` objects, and builds
-the run manifest.
+the run manifest.  With ``workers=None`` (the CLI's default) the
+worker count is picked after the cache lookup:
+:func:`~repro.runtime.executor.resolve_workers` runs one worker per
+usable CPU, capped at the number of experiments with uncached tasks.
 
 Determinism contract: for a fixed ``(names, fast, seed)`` the merged
 results -- and hence ``ExperimentResult.to_dict()`` -- are identical
@@ -22,9 +25,14 @@ from typing import Any, Dict, List, Optional
 
 from repro.experiments.base import ExperimentResult
 from repro.runtime import cache as cache_mod
-from repro.runtime.executor import run_tasks
+from repro.runtime.executor import resolve_workers, run_tasks
 from repro.runtime.manifest import build_manifest
-from repro.runtime.task import STATUS_FAILED, TaskOutcome, TaskSpec
+from repro.runtime.task import (
+    STATUS_CACHED,
+    STATUS_FAILED,
+    TaskOutcome,
+    TaskSpec,
+)
 
 
 class TaskFailure(RuntimeError):
@@ -144,7 +152,7 @@ def run_experiments(
     names: List[str],
     fast: bool = False,
     seed: int = 0,
-    workers: int = 1,
+    workers: Optional[int] = 1,
     cache=None,
     timeout: Optional[float] = None,
     retries: int = 1,
@@ -157,10 +165,14 @@ def run_experiments(
         names: experiment registry names, in the order to report.
         fast: reduced (CI-sized) grids.
         seed: root seed; shard seeds are derived from it.
-        workers: process count (``<= 1`` = serial in-process).
+        workers: process count (``<= 1`` = serial in-process);
+            ``None`` picks it after the cache lookup
+            (:func:`~repro.runtime.executor.resolve_workers`).  The
+            manifest records the count that ran.
         cache: a :class:`~repro.runtime.cache.ResultCache`, or ``None``
             to disable caching entirely.
-        timeout: per-task wall-clock limit (pool mode).
+        timeout: per-task wall-clock limit; a run with one executes
+            its tasks in a pool of at least one worker process.
         retries: extra attempts per task on worker failure.
         reporter: progress sink (see :mod:`repro.runtime.progress`).
         engine: trial-engine selection, one of
@@ -209,7 +221,10 @@ def run_experiments(
         names=names,
         fast=fast,
         seed=seed,
-        workers=workers,
+        workers=resolve_workers(
+            workers,
+            [o.spec for o in outcomes if o.status != STATUS_CACHED],
+        ),
         code_version=cache_mod.code_version(),
         cache_dir=str(cache.directory) if cache is not None else None,
         engine=engine,

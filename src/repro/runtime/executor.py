@@ -7,11 +7,15 @@ one of them exactly once, in three layers:
    ``cached`` outcomes without touching a worker;
 2. **execution** -- the rest run through a
    :class:`~concurrent.futures.ProcessPoolExecutor` when
-   ``workers >= 2`` (with a per-task ``timeout`` and transparent pool
-   recovery on :class:`~concurrent.futures.process.BrokenProcessPool`),
-   or in-process when ``workers <= 1``;
+   ``workers >= 2`` or a ``timeout`` is set (a pool of at least one
+   worker, so the limit is enforced; transparent pool recovery on
+   :class:`~concurrent.futures.process.BrokenProcessPool`), or
+   in-process otherwise.  ``workers=None`` picks the count after the
+   cache lookup (:func:`resolve_workers`);
 3. **retry** -- tasks that raised are retried up to ``retries`` more
    times (fresh submission each round) before settling as ``failed``.
+   Tasks a replaced pool had not finished rerun without using up an
+   attempt.
 
 Outcomes are returned in the order of the input specs regardless of
 completion order, so downstream merging is deterministic.
@@ -20,6 +24,7 @@ completion order, so downstream merging is deterministic.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional
 
@@ -41,6 +46,32 @@ def _default_runner() -> Runner:
     return execute
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where known)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def resolve_workers(
+    workers: Optional[int], pending: List[TaskSpec]
+) -> int:
+    """The worker count that settles ``pending`` (the uncached specs).
+
+    An explicit ``workers`` is returned as given.  ``None`` picks one
+    worker per usable CPU, capped at the number of experiments with a
+    pending task: the shards of one experiment take milliseconds, so
+    a pool does not beat the serial path on them.  A single
+    experiment, a campaign (its cells share one experiment id), a
+    fully cached plan and a one-CPU host all come out as 1, the
+    in-process serial path.
+    """
+    if workers is not None:
+        return workers
+    experiments = len({spec.experiment for spec in pending})
+    return max(1, min(usable_cpus(), experiments))
+
+
 def _metrics_of(payload: Optional[Dict[str, Any]]) -> Dict[str, Any]:
     if isinstance(payload, dict):
         metrics = payload.get("metrics")
@@ -51,7 +82,7 @@ def _metrics_of(payload: Optional[Dict[str, Any]]) -> Dict[str, Any]:
 
 def run_tasks(
     specs: List[TaskSpec],
-    workers: int = 1,
+    workers: Optional[int] = 1,
     cache=None,
     timeout: Optional[float] = None,
     retries: int = 1,
@@ -63,11 +94,14 @@ def run_tasks(
     Args:
         specs: the work units.
         workers: process count; ``<= 1`` runs serially in-process.
+            ``None`` decides after the cache lookup, by
+            :func:`resolve_workers`.
         cache: optional :class:`~repro.runtime.cache.ResultCache`;
             hits skip execution, fresh results are written back.
-        timeout: per-task wall-clock limit in seconds.  Enforced in
-            pool mode; the serial path cannot preempt a running task,
-            so there it is best-effort (checked between tasks only).
+        timeout: per-task wall-clock limit in seconds.  A run with a
+            timeout executes its tasks in a pool of at least one
+            worker process, since only a worker can be abandoned
+            when its task overruns.
         retries: additional attempts for tasks that raise.
         reporter: progress sink (see :mod:`repro.runtime.progress`).
         runner: override the task body (tests); defaults to
@@ -75,6 +109,16 @@ def run_tasks(
     """
     reporter = reporter or NullReporter()
     runner = runner or _default_runner()
+
+    hits: Dict[int, Dict[str, Any]] = {}
+    pending: List[int] = []
+    for index, spec in enumerate(specs):
+        entry = cache.get(spec) if cache is not None else None
+        if entry is None:
+            pending.append(index)
+        else:
+            hits[index] = entry
+    workers = resolve_workers(workers, [specs[index] for index in pending])
     reporter.on_start(specs, workers)
 
     outcomes: Dict[int, TaskOutcome] = {}
@@ -95,29 +139,24 @@ def run_tasks(
                 specs[index], outcome.payload, wall_time=outcome.wall_time
             )
 
-    pending: List[int] = []
-    for index, spec in enumerate(specs):
-        entry = cache.get(spec) if cache is not None else None
-        if entry is not None:
-            settle(
-                index,
-                TaskOutcome(
-                    spec=spec,
-                    status=STATUS_CACHED,
-                    payload=entry["payload"],
-                    wall_time=0.0,
-                    attempts=0,
-                    metrics=_metrics_of(entry["payload"]),
-                ),
-            )
-        else:
-            pending.append(index)
+    for index, entry in hits.items():
+        settle(
+            index,
+            TaskOutcome(
+                spec=specs[index],
+                status=STATUS_CACHED,
+                payload=entry["payload"],
+                wall_time=0.0,
+                attempts=0,
+                metrics=_metrics_of(entry["payload"]),
+            ),
+        )
 
     attempts = {index: 0 for index in pending}
-    if workers >= 2 and pending:
+    if pending and (workers >= 2 or timeout is not None):
         _run_pooled(
-            specs, pending, attempts, workers, timeout, retries, runner,
-            settle,
+            specs, pending, attempts, max(workers, 1), timeout, retries,
+            runner, settle,
         )
     else:
         _run_serial(specs, pending, attempts, retries, runner, settle)
@@ -186,6 +225,15 @@ def _run_pooled(
             pool_broken = False
             for index in list(futures):
                 spec = specs[index]
+                if pool_broken and not futures[index].done():
+                    # The pool is being replaced (a task overran or a
+                    # worker died), and this task may sit queued behind
+                    # the lost worker.  It has not failed, so it reruns
+                    # on the next pool free of charge.
+                    futures[index].cancel()
+                    attempts[index] -= 1
+                    retry_round.append(index)
+                    continue
                 try:
                     result = futures[index].result(timeout=timeout)
                 except concurrent.futures.TimeoutError:
@@ -228,5 +276,10 @@ def _run_pooled(
                 pool = concurrent.futures.ProcessPoolExecutor(
                     max_workers=workers
                 )
-    finally:
+    except BaseException:
         pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    # Every task of this pool has settled, so joining its idle workers
+    # is quick.  Left to interpreter exit, the join races the pool's
+    # own teardown and can print an ignored "Bad file descriptor".
+    pool.shutdown(wait=True)

@@ -131,3 +131,27 @@ def test_exploration_worker_variable_cannot_change_tables(monkeypatch):
     assert [t.to_dict() for t in steered.tables] == [
         t.to_dict() for t in plain.tables
     ]
+
+
+@pytest.mark.parametrize("fast, rows", [(True, 3), (False, 4)])
+def test_e1_samples_boundness_once_per_row(monkeypatch, fast, rows):
+    from repro.core import boundness
+    from repro.experiments import exp_boundness
+
+    calls = []
+    measure = boundness.measure_boundness
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return measure(*args, **kwargs)
+
+    # Patch every binding of the name the experiment could call.
+    monkeypatch.setattr(boundness, "measure_boundness", counting)
+    monkeypatch.setattr(exp_boundness, "measure_boundness", counting,
+                        raising=False)
+    # Sampling is what is counted; keep the full-mode search small.
+    monkeypatch.setattr(exp_boundness, "SLOW_BUDGET",
+                        exp_boundness.FAST_BUDGET)
+    result = exp_boundness.run(fast=fast, seed=0)
+    assert len(result.tables[0].rows) == rows
+    assert len(calls) == rows

@@ -107,3 +107,32 @@ def test_every_experiment_reproduced(cli_runs):
 
 def test_stdout_identical_across_runs(cli_runs):
     assert cli_runs["cold"].stdout == cli_runs["warm"].stdout
+
+
+def test_default_worker_count_matches_serial_run(tmp_path):
+    """``all --fast`` on the default worker count prints the same
+    results as ``--parallel 1``; each run reports the count that ran."""
+    from repro.experiments.runner import REGISTRY
+    from repro.runtime.executor import usable_cpus
+
+    runs = {}
+    for label, extra in (("default", []), ("serial", ["--parallel", "1"])):
+        workdir = tmp_path / label
+        workdir.mkdir()
+        proc = run_cli(
+            ["all", "--fast", "--seed", "0", "--no-cache",
+             "--json", "out.json", *extra],
+            workdir / "cache",
+            workdir,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        document = json.loads((workdir / "out.json").read_text("utf-8"))
+        runs[label] = (proc, document)
+
+    expected = {"default": min(usable_cpus(), len(REGISTRY)), "serial": 1}
+    for label, (proc, document) in runs.items():
+        assert document["manifest"]["workers"] == expected[label]
+        assert f"workers={expected[label]}\n" in proc.stderr
+    default, serial = runs["default"], runs["serial"]
+    assert default[0].stdout == serial[0].stdout
+    assert default[1]["experiments"] == serial[1]["experiments"]

@@ -4,10 +4,17 @@ The pool tests submit module-level functions (anything submitted to a
 ProcessPoolExecutor must be picklable by reference).
 """
 
+import concurrent.futures
+import dataclasses
+import multiprocessing
 import time
 
+import pytest
+
+from repro.runtime import executor
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import run_tasks
+from repro.runtime.progress import NullReporter
 from repro.runtime.task import (
     STATUS_CACHED,
     STATUS_FAILED,
@@ -48,6 +55,13 @@ def sleepy_runner(spec_dict):
     # pool is recycled, long enough to trip the 0.25s timeout reliably.
     time.sleep(3.0)
     return {"payload": {}, "wall_time": 3.0}
+
+
+def first_shard_sleeps(spec_dict):
+    """Pool-safe: shard s0 overruns a short timeout, the rest echo."""
+    if spec_dict["shard"] == "s0":
+        time.sleep(3.0)
+    return echo_runner(spec_dict)
 
 
 def test_serial_runs_in_order():
@@ -94,12 +108,38 @@ def test_pool_failure_after_retry_budget():
     assert "boom" in outcomes[0].error
 
 
+def test_pool_joins_its_workers_before_returning():
+    """No worker outlives a settled run: left to interpreter exit, the
+    join races the pool's teardown and can print an ignored error."""
+    before = set(multiprocessing.active_children())
+    run_tasks(specs(4), workers=2, runner=echo_runner)
+    assert set(multiprocessing.active_children()) - before == set()
+
+
 def test_pool_timeout_fails_task():
     outcomes = run_tasks(
         specs(1), workers=2, timeout=0.25, retries=0, runner=sleepy_runner
     )
     assert outcomes[0].status == STATUS_FAILED
     assert "TimeoutError" in outcomes[0].error
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_timeout_fails_only_the_task_that_overran(workers):
+    """The limit holds on a serial request too (the tasks run in a pool
+    of one), and tasks queued behind the abandoned worker rerun instead
+    of inheriting its timeout."""
+    started = time.perf_counter()
+    outcomes = run_tasks(
+        specs(3), workers=workers, timeout=0.25, retries=0,
+        runner=first_shard_sleeps,
+    )
+    assert time.perf_counter() - started < 2.0
+    assert [o.status for o in outcomes] == [
+        STATUS_FAILED, STATUS_OK, STATUS_OK
+    ]
+    assert "TimeoutError" in outcomes[0].error
+    assert [o.attempts for o in outcomes] == [1, 1, 1]
 
 
 def test_cache_hits_skip_execution(tmp_path):
@@ -122,3 +162,72 @@ def test_failed_tasks_are_not_cached(tmp_path):
               runner=failing_runner)
     retry = run_tasks(specs(1), workers=1, cache=cache, runner=echo_runner)
     assert retry[0].status == STATUS_OK
+
+
+class StartRecorder(NullReporter):
+    def __init__(self):
+        self.workers = []
+
+    def on_start(self, specs, workers):
+        self.workers.append(workers)
+
+
+def experiment_specs(experiments):
+    """``specs(n)``, the i-th one filed under ``experiments[i]``."""
+    return [
+        dataclasses.replace(spec, experiment=name)
+        for spec, name in zip(specs(len(experiments)), experiments)
+    ]
+
+
+@pytest.mark.parametrize(
+    "cpus, workers, experiments, cached, expected",
+    [
+        (1, None, ["a", "b", "c"], [], 1),
+        (4, None, ["a", "b", "c", "a"], [], 3),
+        (4, None, ["a", "a", "a"], [], 1),
+        (4, None, ["a", "b", "c"], [0, 1], 1),
+        (4, None, ["a", "b", "c"], [0, 1, 2], 1),
+        (4, 2, ["a", "a", "a"], [], 2),
+        (4, 1, ["a", "b", "c"], [], 1),
+    ],
+    ids=[
+        "one-cpu-runs-serially",
+        "capped-at-pending-experiments",
+        "one-experiments-shards-run-serially",
+        "cached-experiments-do-not-count",
+        "fully-cached-plan-starts-no-pool",
+        "explicit-pool-is-kept",
+        "explicit-serial-is-kept",
+    ],
+)
+def test_worker_count(
+    monkeypatch, tmp_path, cpus, workers, experiments, cached, expected
+):
+    plan = experiment_specs(experiments)
+    cache = ResultCache(str(tmp_path))
+    run_tasks([plan[i] for i in cached], workers=1, cache=cache,
+              runner=echo_runner)
+
+    pools = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def spy_pool(max_workers=None, **kwargs):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(executor, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(
+        executor.concurrent.futures, "ProcessPoolExecutor", spy_pool
+    )
+    reporter = StartRecorder()
+    outcomes = run_tasks(plan, workers=workers, cache=cache,
+                         reporter=reporter, runner=echo_runner)
+
+    assert reporter.workers == [expected]
+    assert pools == ([expected] if expected >= 2 else [])
+    assert [o.payload["i"] for o in outcomes] == list(range(len(plan)))
+    assert [o.status for o in outcomes] == [
+        STATUS_CACHED if i in cached else STATUS_OK
+        for i in range(len(plan))
+    ]
