@@ -71,6 +71,10 @@ print()
 totals = report.manifest["totals"]
 print(
     f"{totals['tasks']} cells in {totals['wall_time']:.2f}s "
-    f"(engine={report.manifest['engine']}, "
-    f"campaign={report.manifest['campaign']['name']})"
+    f"(campaign={report.manifest['campaign']['name']})"
 )
+# Delivery cells record the trial tier that ran; adversary and
+# exploration cells run no trial engine.
+for task in report.manifest["tasks"]:
+    if "engine" in task["metrics"]:
+        print(f"  {task['shard']}: engine={task['metrics']['engine']}")

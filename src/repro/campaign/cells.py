@@ -27,12 +27,12 @@ Four cell kinds:
   cell sets ``dichotomy``), on the batch pumping engine under the same
   resolution.
 
-Delivery and backlog cells record the tier that ran (and, when
-``auto`` fell back, the gate's refusal) in their telemetry.
+Delivery and backlog cells record the tier that ran (and, when the
+gate refused the batch tier, its refusal) in their telemetry.
 
 Determinism: everything random flows from the cell's task seed (already
 derived per shard via :func:`repro.runtime.seeds.derive_seed`); the
-engine tier is execution configuration and never changes a payload.
+tiers are bit-identical, so the one that ran never changes a value.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.campaign.spec import (
 
 
 def _delivery_observations(
-    params: Dict[str, Any], fast: bool, seed: int, engine: str
+    params: Dict[str, Any], fast: bool, seed: int
 ) -> Dict[str, Any]:
     from repro.core.theorem51 import run_probabilistic_delivery
     from repro.experiments.base import engine_metrics, resolve_trial_engine
@@ -61,7 +61,7 @@ def _delivery_observations(
     )
     q = float(scenario["q"])
     n = int(scenario["n"])
-    tier, refusal = resolve_trial_engine(engine)
+    tier, refusal = resolve_trial_engine()
     run = run_probabilistic_delivery(
         factory,
         q=q,
@@ -84,7 +84,7 @@ def _delivery_observations(
 
 
 def _backlog_observations(
-    params: Dict[str, Any], fast: bool, seed: int, engine: str
+    params: Dict[str, Any], fast: bool, seed: int
 ) -> Dict[str, Any]:
     from repro.core.theorem41 import probe_backlog_cost, run_dichotomy
     from repro.experiments.base import engine_metrics, resolve_trial_engine
@@ -99,7 +99,7 @@ def _backlog_observations(
     message = scenario.get("message", "m")
     max_messages = int(scenario.get("max_messages", 4096))
     max_steps = int(scenario.get("max_steps", 200_000))
-    tier, refusal = resolve_trial_engine(engine, pumping=True)
+    tier, refusal = resolve_trial_engine(pumping=True)
     observations: Dict[str, Any]
     if scenario.get("dichotomy"):
         outcome = run_dichotomy(
@@ -216,27 +216,21 @@ def _exploration_observations(
 
 
 def run_cell(
-    params: Dict[str, Any],
-    fast: bool,
-    seed: int,
-    engine: str = "auto",
+    params: Dict[str, Any], fast: bool, seed: int
 ) -> Dict[str, Any]:
     """Run one compiled campaign cell; returns its JSON payload.
 
     ``params`` is the self-contained dict minted by
     :func:`repro.campaign.compiler.compile_campaign` (registry names +
     config + metric list), ``seed`` the cell's derived task seed.
-    ``engine`` is execution configuration bound by the scheduler,
-    exactly as for the bespoke experiments: payloads are identical
-    across tiers.
     """
     from repro.campaign import registry
 
     cell = params["cell"]
     if cell == CELL_DELIVERY:
-        observations = _delivery_observations(params, fast, seed, engine)
+        observations = _delivery_observations(params, fast, seed)
     elif cell == CELL_BACKLOG:
-        observations = _backlog_observations(params, fast, seed, engine)
+        observations = _backlog_observations(params, fast, seed)
     elif cell == CELL_ADVERSARY:
         observations = _adversary_observations(params, fast, seed)
     elif cell == CELL_EXPLORATION:

@@ -1,17 +1,18 @@
 """Command-line front ends for the campaign layer.
 
 ``python -m repro.experiments campaign SPEC.json`` runs one campaign
-spec through the task runtime (same scheduling flags as the experiment
-runner: ``--parallel``, ``--engine``, ``--json``, caching); ``python
--m repro.experiments list`` prints every registry a spec can name.
-Both are dispatched from :mod:`repro.experiments.runner` on the raw
-argv, like ``check``.
+spec through the task runtime, with the experiment runner's run flags
+(:func:`repro.experiments.runner.add_run_flags`: ``--parallel``,
+``--json``, caching, ...) and its default worker count; ``python -m
+repro.experiments list`` prints every registry a spec can name.  Both
+are dispatched from :mod:`repro.experiments.runner` on the raw argv,
+like ``check``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from typing import List, Optional
 
@@ -21,13 +22,11 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
     from repro.campaign.compiler import load_spec
     from repro.campaign.engine import run_campaign
     from repro.campaign.spec import SpecError
-    from repro.core.trials import TRIAL_ENGINES
-    from repro.runtime import (
-        ResultCache,
-        TaskFailure,
-        TextProgressReporter,
+    from repro.experiments.runner import (
+        add_run_flags,
+        run_with_flags,
+        write_run_json,
     )
-    from repro.runtime.cache import default_cache_dir
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments campaign",
@@ -39,113 +38,31 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "spec", help="path to the campaign spec JSON file"
     )
-    parser.add_argument(
-        "--fast",
-        action="store_true",
-        help="use the spec's fast (CI-sized) axis values",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="root randomness seed"
-    )
-    parser.add_argument(
-        "--parallel",
-        metavar="N",
-        type=int,
-        default=1,
-        help="worker processes (default 1 = serial in-process)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=TRIAL_ENGINES,
-        default="auto",
-        help=(
-            "trial-engine tier for delivery and backlog cells; the "
-            "tiers are bit-identical (default: auto)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="recompute everything; neither read nor write the cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help=(
-            "result cache directory (default: $REPRO_CACHE_DIR or "
-            ".repro-cache)"
-        ),
-    )
-    parser.add_argument(
-        "--json",
-        metavar="FILE",
-        default=None,
-        help="write the result + run manifest as JSON to FILE",
-    )
-    parser.add_argument(
-        "--timeout",
-        metavar="SECONDS",
-        type=float,
-        default=None,
-        help=(
-            "per-task wall-clock limit; tasks then run in worker "
-            "processes (at least one), so it is enforced on every path"
-        ),
-    )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress the live progress report (stderr)",
-    )
+    add_run_flags(parser)
     args = parser.parse_args(argv)
-    if args.parallel < 1:
-        parser.error("--parallel must be >= 1")
 
     try:
         spec = load_spec(args.spec)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    cache = (
-        None
-        if args.no_cache
-        else ResultCache(args.cache_dir or default_cache_dir())
-    )
-    reporter = None if args.quiet else TextProgressReporter(sys.stderr)
-    try:
-        report = run_campaign(
-            spec,
-            fast=args.fast,
-            seed=args.seed,
-            workers=args.parallel,
-            cache=cache,
-            timeout=args.timeout,
-            reporter=reporter,
-            engine=args.engine,
+        report = run_with_flags(
+            parser, args, functools.partial(run_campaign, spec)
         )
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TaskFailure as failure:
-        print(f"error: {failure}", file=sys.stderr)
+    if report is None:
         return 1
 
     print(report.result.render())
     if args.json is not None:
-        document = {
-            "campaign": spec.to_dict(),
-            "experiments": [report.result.to_dict()],
-            "manifest": report.manifest,
-            "passed": report.passed,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            # Insertion order is meaningful and deterministic, as in
-            # the experiment runner's JSON document -- no key sorting.
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"run manifest written to {args.json}")
+        write_run_json(
+            args.json,
+            {
+                "campaign": spec.to_dict(),
+                "experiments": [report.result.to_dict()],
+                "manifest": report.manifest,
+                "passed": report.passed,
+            },
+        )
     return 0 if report.passed else 1
 
 

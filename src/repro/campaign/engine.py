@@ -3,9 +3,10 @@
 :func:`run_campaign` is the campaign analogue of
 :func:`repro.runtime.engine.run_experiments`: compile the spec
 (:func:`~repro.campaign.compiler.compile_campaign`), settle every task
-through the executor (cache first, then pool or serial), merge, and
-build the run manifest -- with a ``manifest["campaign"]`` section
-recording the spec identity and grid size.
+on the same run path (:func:`repro.runtime.engine.settle_plan`: cache
+first, then pool or serial, then the run manifest), and merge -- with
+a ``manifest["campaign"]`` section recording the spec identity and
+grid size.
 
 Experiment-backed specs delegate to ``run_experiments`` outright, so a
 campaign wrapper around E1-E5 produces byte-identical results and
@@ -19,7 +20,6 @@ after a partial run -- pinned by ``tests/campaign/test_determinism``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -30,7 +30,7 @@ from repro.campaign.compiler import (
 from repro.campaign.merge import merge_campaign
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.base import ExperimentResult
-from repro.runtime.task import STATUS_FAILED, TaskOutcome
+from repro.runtime.task import TaskOutcome
 
 
 @dataclass
@@ -71,41 +71,34 @@ def run_campaign(
     spec: CampaignSpec,
     fast: bool = False,
     seed: int = 0,
-    workers: int = 1,
+    workers: Optional[int] = 1,
     cache=None,
     timeout: Optional[float] = None,
     retries: int = 1,
     reporter=None,
-    engine: str = "auto",
 ) -> CampaignReport:
     """Run one campaign; returns its report.
 
-    Arguments mirror :func:`repro.runtime.engine.run_experiments` --
+    Arguments mirror :func:`repro.runtime.engine.run_experiments`:
     ``workers``/``cache``/``timeout``/``retries``/``reporter`` schedule
-    the run, ``engine`` is execution configuration threaded to the
-    cells (bit-identical across tiers, hence outside task specs and
-    cache keys).
+    the run, and the manifest records the worker count that ran.
 
     Raises:
         TaskFailure: a cell failed after all retries.
         SpecError: the spec is invalid (structure or names).
     """
-    from repro.runtime import cache as cache_mod
-    from repro.runtime.engine import TaskFailure, run_experiments
-    from repro.runtime.executor import run_tasks
-    from repro.runtime.manifest import build_manifest
+    from repro.runtime.engine import run_experiments, settle_plan
 
+    schedule: Dict[str, Any] = dict(
+        workers=workers,
+        cache=cache,
+        timeout=timeout,
+        retries=retries,
+        reporter=reporter,
+    )
     if spec.experiment is not None:
         report = run_experiments(
-            [spec.experiment],
-            fast=fast,
-            seed=seed,
-            workers=workers,
-            cache=cache,
-            timeout=timeout,
-            retries=retries,
-            reporter=reporter,
-            engine=engine,
+            [spec.experiment], fast=fast, seed=seed, **schedule
         )
         report.manifest["campaign"] = manifest_entry(spec, fast)
         return CampaignReport(
@@ -114,43 +107,15 @@ def run_campaign(
             outcomes=report.outcomes,
         )
 
-    from repro.core.trials import TRIAL_ENGINES
-
-    if engine not in TRIAL_ENGINES:
-        raise ValueError(
-            f"engine must be one of {TRIAL_ENGINES}, got {engine!r}"
-        )
-    runner = None
-    if engine != "auto":
-        from repro.runtime.worker import execute
-
-        runner = functools.partial(execute, engine=engine)
-
-    specs = compile_campaign(spec, fast=fast, seed=seed)
-    outcomes = run_tasks(
-        specs,
-        workers=workers,
-        cache=cache,
-        timeout=timeout,
-        retries=retries,
-        reporter=reporter,
-        runner=runner,
+    outcomes, manifest = settle_plan(
+        compile_campaign(spec, fast=fast, seed=seed),
+        [campaign_experiment_name(spec)],
+        fast,
+        seed,
+        campaign=manifest_entry(spec, fast),
+        **schedule,
     )
-    failed = [o for o in outcomes if o.status == STATUS_FAILED]
-    if failed:
-        raise TaskFailure(failed)
     result = merge_campaign(
         spec, [outcome.payload for outcome in outcomes], fast
-    )
-    manifest = build_manifest(
-        outcomes,
-        names=[campaign_experiment_name(spec)],
-        fast=fast,
-        seed=seed,
-        workers=workers,
-        code_version=cache_mod.code_version(),
-        cache_dir=str(cache.directory) if cache is not None else None,
-        engine=engine,
-        campaign=manifest_entry(spec, fast),
     )
     return CampaignReport(result=result, manifest=manifest, outcomes=outcomes)

@@ -55,10 +55,10 @@ from repro.ioa.compile import CompiledPair, PoolOracle
 from repro.ioa.execution import TraceMode
 from repro.ioa.sinks import ExecutionSink, MetricsSink
 
-#: The ``engine=`` choices of every trial entry point (delivery runs,
-#: backlog planting, the experiment and campaign CLIs).  ``auto`` runs
-#: the batch engine whenever its gate accepts and the interpreted
-#: reference otherwise; the tiers are bit-identical.
+#: The ``engine=`` choices of the trial entry points (delivery runs and
+#: backlog planting); nothing above :mod:`repro.core` takes one.
+#: ``auto`` runs the batch engine whenever its gate accepts and the
+#: interpreted reference otherwise; the tiers are bit-identical.
 TRIAL_ENGINES = ("auto", "batch", "interpreted")
 
 

@@ -18,24 +18,22 @@ from repro.analysis.tables import Table
 
 
 def resolve_trial_engine(
-    engine: Any, sinks: Any = None, pumping: bool = False
+    sinks: Any = None, pumping: bool = False
 ) -> Tuple[str, Optional[str]]:
     """The trial-engine tier one protocol run executes under, and why.
 
-    Returns ``(tier, refusal)``.  ``None`` means "no preference" and
-    resolves like ``"auto"``, which asks the batch gate the run will
-    meet -- :func:`repro.core.trials.pump_batch_refusal` when
-    ``pumping`` (Theorem 4.1 planting, always in COUNTS mode), else
+    Returns ``(tier, refusal)``: asks the batch gate the run will meet
+    -- :func:`repro.core.trials.pump_batch_refusal` when ``pumping``
+    (Theorem 4.1 planting, always in COUNTS mode), else
     :func:`repro.core.trials.probabilistic_batch_refusal` for a
     Theorem 5.1 delivery run with ``sinks`` attached -- and names the
-    tier that actually runs: ``"batch"`` when the gate accepts,
+    tier that runs: ``"batch"`` when the gate accepts,
     ``"interpreted"`` plus the gate's refusal string when it does not.
-    An explicit choice passes through unchanged with no refusal.  The
-    tiers are bit-identical, so resolution affects speed only; callers
-    record both halves in their metrics.
+    Callers pass the tier to :mod:`repro.core` explicitly, so a
+    prediction the gate disagrees with raises instead of mislabelling
+    the metrics.  The tiers are bit-identical, so the choice affects
+    speed only; callers record both halves in their metrics.
     """
-    if engine is not None and engine != "auto":
-        return str(engine), None
     from repro.channels.probabilistic import TricklePolicy
     from repro.core import trials
     from repro.ioa.execution import TraceMode

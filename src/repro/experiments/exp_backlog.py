@@ -58,9 +58,6 @@ EXP_ID = "E3"
 NAME = "backlog"
 TITLE = "Theorem 4.1: cost per message grows as backlog/k (tight)"
 
-#: ``run_shard`` accepts the runner's ``--engine`` selection.
-ENGINE_AWARE = True
-
 SEQUENCE_BACKLOG = 32
 
 #: The experiment's shape as data: one group per shard family (cost
@@ -128,12 +125,17 @@ def _probe_dict(probe) -> Dict[str, Any]:
 
 
 def run_shard(
-    params: Dict[str, Any], fast: bool, seed: int, engine: str = "auto"
+    params: Dict[str, Any], fast: bool, seed: int
 ) -> Dict[str, Any]:
-    """Execute one curve sweep, dichotomy level or escape probe."""
+    """Execute one curve sweep, dichotomy level or escape probe.
+
+    Every kind plants its backlogs on the pumping tier the gate picks,
+    and records that tier (and any refusal) in its metrics.
+    """
     del seed  # deterministic
     kind = params["kind"]
-    tier, refusal = resolve_trial_engine(engine, pumping=True)
+    tier, refusal = resolve_trial_engine(pumping=True)
+    metrics = engine_metrics({kind: (tier, refusal)})
     if kind == "curve":
         phases = int(params["phases"])
         factory = lambda: make_flooding(phases)  # noqa: E731
@@ -148,7 +150,7 @@ def run_shard(
             "phases": phases,
             "probes": probes,
             "metrics": {
-                **engine_metrics({"curve": (tier, refusal)}),
+                **metrics,
                 "packets": sum(p["extension_packets"] for p in probes),
             },
         }
@@ -166,12 +168,14 @@ def run_shard(
                 "forged": outcome.forged,
                 "theorem_confirmed": outcome.theorem_confirmed,
             }
-        return {"kind": kind, "level": level, **rows}
+        return {"kind": kind, "level": level, **rows, "metrics": metrics}
     if kind == "sequence":
         probe = probe_backlog_cost(
             make_sequence_protocol, SEQUENCE_BACKLOG, engine=tier
         )
-        return {"kind": kind, "probe": _probe_dict(probe)}
+        return {
+            "kind": kind, "probe": _probe_dict(probe), "metrics": metrics
+        }
     raise ValueError(f"unknown backlog shard kind {kind!r}")
 
 

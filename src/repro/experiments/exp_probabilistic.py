@@ -54,9 +54,6 @@ EXP_ID = "E4"
 NAME = "probabilistic"
 TITLE = "Theorem 5.1: exponential blowup over a probabilistic channel"
 
-#: ``run_shard`` accepts the runner's ``--engine`` selection.
-ENGINE_AWARE = True
-
 PHASES = 3
 
 #: The experiment's shape as data: one shard per error probability.
@@ -99,7 +96,7 @@ def shards(fast: bool) -> List[Dict[str, Any]]:
 
 
 def run_shard(
-    params: Dict[str, Any], fast: bool, seed: int, engine: str = "auto"
+    params: Dict[str, Any], fast: bool, seed: int
 ) -> Dict[str, Any]:
     """Run both protocols at one ``q``; returns the raw series."""
     q = float(params["q"])
@@ -112,8 +109,8 @@ def run_shard(
     flood_metrics = MetricsSink(count_steps=False)
     naive_metrics = MetricsSink(count_steps=False)
     resolved = {
-        "flood": resolve_trial_engine(engine, sinks=[flood_metrics]),
-        "naive": resolve_trial_engine(engine, sinks=[naive_metrics]),
+        "flood": resolve_trial_engine(sinks=[flood_metrics]),
+        "naive": resolve_trial_engine(sinks=[naive_metrics]),
     }
     flood = run_probabilistic_delivery(
         flood_factory,

@@ -36,11 +36,11 @@ The transcript printed here is what EXPERIMENTS.md records.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Callable, Dict
+from typing import Any, Callable, Dict, Optional, TypeVar
 
-from repro.core.trials import TRIAL_ENGINES
 from repro.experiments import (
     exp_ablation,
     exp_backlog,
@@ -72,6 +72,8 @@ SHARDED = {
     "probabilistic": exp_probabilistic,
     "hoeffding": exp_hoeffding,
 }
+
+Report = TypeVar("Report")
 
 
 def _validate_kwargs(fast, seed) -> None:
@@ -112,63 +114,18 @@ def run_all(fast: bool = False, seed: int = 0) -> Dict[str, ExperimentResult]:
     }
 
 
-def main(argv=None) -> int:
-    """CLI entry point.  Returns a process exit code."""
-    # Subcommand dispatch happens on the raw argv, before argparse:
-    # each subcommand owns its whole flag namespace.
-    raw = list(sys.argv[1:]) if argv is None else list(argv)
-    if raw and raw[0] == "check":
-        from repro.checker.cli import main as check_main
-
-        return check_main(raw[1:])
-    if raw and raw[0] == "campaign":
-        from repro.campaign.cli import campaign_main
-
-        return campaign_main(raw[1:])
-    if raw and raw[0] == "list":
-        from repro.campaign.cli import list_main
-
-        return list_main(raw[1:])
-    if raw and raw[0] == "bench-report":
-        from repro.experiments import bench_report
-
-        return bench_report.main(argv=raw[1:])
-
-    from repro.runtime import (
-        ResultCache,
-        TaskFailure,
-        TextProgressReporter,
-        run_experiments,
-    )
-    from repro.runtime.cache import default_cache_dir
-
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description=(
-            "Regenerate the per-theorem results of Mansour & Schieber "
-            "(PODC 1989)"
-        ),
-    )
-    parser.add_argument(
-        "experiment",
-        nargs="?",
-        default="all",
-        help=(
-            f"one of {sorted(REGISTRY)}, 'all' (default), "
-            "'campaign' to run a declarative campaign spec, "
-            "'list' to print the experiment and campaign registries, "
-            "'bench-report' to print the BENCH_*.json trend table, or "
-            "'check' to run the bounded model checker "
-            "(see each subcommand's --help)"
-        ),
-    )
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare the run flags the experiment and campaign CLIs share."""
     parser.add_argument(
         "--fast",
         action="store_true",
-        help="smaller grids (used by the test suite)",
+        help=(
+            "CI-sized grids: smaller experiment grids, or a campaign "
+            "spec's fast axis values (used by the test suite)"
+        ),
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="randomness seed"
+        "--seed", type=int, default=0, help="root randomness seed"
     )
     parser.add_argument(
         "--parallel",
@@ -178,20 +135,8 @@ def main(argv=None) -> int:
         help=(
             "worker processes; 1 = serial in-process (default: one per "
             "usable CPU, capped at the number of experiments with "
-            "uncached tasks, so a single experiment runs serially)"
-        ),
-    )
-    parser.add_argument(
-        "--engine",
-        choices=TRIAL_ENGINES,
-        default="auto",
-        help=(
-            "engine tier for the delivery and pumping engines of the "
-            "probabilistic/backlog experiments (E3/E4): 'batch' = "
-            "compiled per-trial engine, 'interpreted' = pure reference "
-            "loops, 'auto' = batch wherever its gate accepts; the tiers "
-            "are bit-identical, so this changes speed only "
-            "(default: auto)"
+            "uncached tasks, so a single experiment or a campaign runs "
+            "serially)"
         ),
     )
     parser.add_argument(
@@ -229,6 +174,98 @@ def main(argv=None) -> int:
         action="store_true",
         help="suppress the live progress report (stderr)",
     )
+
+
+def run_with_flags(
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    run: Callable[..., Report],
+) -> Optional[Report]:
+    """Call ``run`` scheduled as the flags of :func:`add_run_flags` ask.
+
+    ``run`` is :func:`repro.runtime.run_experiments` or
+    :func:`repro.campaign.engine.run_campaign` with its plan bound.
+    Builds the result cache and the progress reporter; when a task
+    fails, prints why and returns ``None`` (exit code 1).
+    """
+    from repro.runtime import ResultCache, TaskFailure, TextProgressReporter
+    from repro.runtime.cache import default_cache_dir
+
+    if args.parallel is not None and args.parallel < 1:
+        parser.error("--parallel must be >= 1")
+    try:
+        return run(
+            fast=args.fast,
+            seed=args.seed,
+            workers=args.parallel,
+            cache=(
+                None
+                if args.no_cache
+                else ResultCache(args.cache_dir or default_cache_dir())
+            ),
+            timeout=args.timeout,
+            reporter=None if args.quiet else TextProgressReporter(sys.stderr),
+        )
+    except TaskFailure as failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return None
+
+
+def write_run_json(path: str, document: Dict[str, Any]) -> None:
+    """Write the ``--json`` document: results, manifest, verdict."""
+    with open(path, "w", encoding="utf-8") as handle:
+        # Insertion order is meaningful (check order, task plan order)
+        # and deterministic, so no key sorting.
+        json.dump(document, handle, indent=2)
+        handle.write("\n")
+    print(f"run manifest written to {path}")
+
+
+def main(argv=None) -> int:
+    """CLI entry point.  Returns a process exit code."""
+    # Subcommand dispatch happens on the raw argv, before argparse:
+    # each subcommand owns its whole flag namespace.
+    raw = list(sys.argv[1:]) if argv is None else list(argv)
+    if raw and raw[0] == "check":
+        from repro.checker.cli import main as check_main
+
+        return check_main(raw[1:])
+    if raw and raw[0] == "campaign":
+        from repro.campaign.cli import campaign_main
+
+        return campaign_main(raw[1:])
+    if raw and raw[0] == "list":
+        from repro.campaign.cli import list_main
+
+        return list_main(raw[1:])
+    if raw and raw[0] == "bench-report":
+        from repro.experiments import bench_report
+
+        return bench_report.main(argv=raw[1:])
+
+    from repro.runtime import run_experiments
+
+    parser = argparse.ArgumentParser(
+        prog="repro-experiments",
+        description=(
+            "Regenerate the per-theorem results of Mansour & Schieber "
+            "(PODC 1989)"
+        ),
+    )
+    parser.add_argument(
+        "experiment",
+        nargs="?",
+        default="all",
+        help=(
+            f"one of {sorted(REGISTRY)}, 'all' (default), "
+            "'campaign' to run a declarative campaign spec, "
+            "'list' to print the experiment and campaign registries, "
+            "'bench-report' to print the BENCH_*.json trend table, or "
+            "'check' to run the bounded model checker "
+            "(see each subcommand's --help)"
+        ),
+    )
+    add_run_flags(parser)
     parser.add_argument(
         "--output",
         metavar="FILE",
@@ -243,28 +280,10 @@ def main(argv=None) -> int:
             f"unknown experiment {args.experiment!r}; choose from "
             f"{sorted(REGISTRY)} or 'all'"
         )
-    if args.parallel is not None and args.parallel < 1:
-        parser.error("--parallel must be >= 1")
-
-    cache = (
-        None
-        if args.no_cache
-        else ResultCache(args.cache_dir or default_cache_dir())
+    report = run_with_flags(
+        parser, args, functools.partial(run_experiments, names)
     )
-    reporter = None if args.quiet else TextProgressReporter(sys.stderr)
-    try:
-        report = run_experiments(
-            names,
-            fast=args.fast,
-            seed=args.seed,
-            workers=args.parallel,
-            cache=cache,
-            timeout=args.timeout,
-            reporter=reporter,
-            engine=args.engine,
-        )
-    except TaskFailure as failure:
-        print(f"error: {failure}", file=sys.stderr)
+    if report is None:
         return 1
 
     results = [report.results[name] for name in names]
@@ -274,17 +293,14 @@ def main(argv=None) -> int:
     all_passed = all(result.passed for result in results)
 
     if args.json is not None:
-        document = {
-            "experiments": [result.to_dict() for result in results],
-            "manifest": report.manifest,
-            "passed": all_passed,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            # Insertion order is meaningful (check order, task plan
-            # order) and deterministic, so no key sorting.
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"run manifest written to {args.json}")
+        write_run_json(
+            args.json,
+            {
+                "experiments": [result.to_dict() for result in results],
+                "manifest": report.manifest,
+                "passed": all_passed,
+            },
+        )
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(render_markdown(results, fast=args.fast,

@@ -5,10 +5,13 @@ library users.  It plans the run (:func:`plan_tasks`), settles every
 task through :func:`repro.runtime.executor.run_tasks` (cache first,
 then pool or serial execution), merges shard payloads back into
 :class:`~repro.experiments.base.ExperimentResult` objects, and builds
-the run manifest.  With ``workers=None`` (the CLI's default) the
-worker count is picked after the cache lookup:
-:func:`~repro.runtime.executor.resolve_workers` runs one worker per
-usable CPU, capped at the number of experiments with uncached tasks.
+the run manifest.  :func:`settle_plan` is the part it shares with
+campaign runs (:func:`repro.campaign.engine.run_campaign`): settle a
+plan, fail on a failed task, build the manifest.  With
+``workers=None`` (the CLIs' default) the worker count is picked after
+the cache lookup: :func:`~repro.runtime.executor.resolve_workers` runs
+one worker per usable CPU, capped at the number of experiments with
+uncached tasks.
 
 Determinism contract: for a fixed ``(names, fast, seed)`` the merged
 results -- and hence ``ExperimentResult.to_dict()`` -- are identical
@@ -19,9 +22,8 @@ cache.  Shard seeds come from
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.experiments.base import ExperimentResult
 from repro.runtime import cache as cache_mod
@@ -148,6 +150,57 @@ def merge_outcomes(
     return results
 
 
+def settle_plan(
+    specs: List[TaskSpec],
+    names: List[str],
+    fast: bool,
+    seed: int,
+    workers: Optional[int] = 1,
+    cache=None,
+    timeout: Optional[float] = None,
+    retries: int = 1,
+    reporter=None,
+    campaign: Optional[Dict[str, Any]] = None,
+) -> Tuple[List[TaskOutcome], Dict[str, Any]]:
+    """Settle planned tasks; returns their outcomes and the manifest.
+
+    The run path under both :func:`run_experiments` and
+    :func:`repro.campaign.engine.run_campaign`; the scheduling
+    arguments are theirs.  ``names`` and ``campaign`` identify the run
+    in the manifest, whose ``workers`` is the count that ran
+    (:func:`~repro.runtime.executor.resolve_workers` over the uncached
+    tasks, as :func:`~repro.runtime.executor.run_tasks` picked it).
+
+    Raises:
+        TaskFailure: a task failed after all retries.
+    """
+    outcomes = run_tasks(
+        specs,
+        workers=workers,
+        cache=cache,
+        timeout=timeout,
+        retries=retries,
+        reporter=reporter,
+    )
+    failed = [o for o in outcomes if o.status == STATUS_FAILED]
+    if failed:
+        raise TaskFailure(failed)
+    manifest = build_manifest(
+        outcomes,
+        names=names,
+        fast=fast,
+        seed=seed,
+        workers=resolve_workers(
+            workers,
+            [o.spec for o in outcomes if o.status != STATUS_CACHED],
+        ),
+        code_version=cache_mod.code_version(),
+        cache_dir=str(cache.directory) if cache is not None else None,
+        campaign=campaign,
+    )
+    return outcomes, manifest
+
+
 def run_experiments(
     names: List[str],
     fast: bool = False,
@@ -157,7 +210,6 @@ def run_experiments(
     timeout: Optional[float] = None,
     retries: int = 1,
     reporter=None,
-    engine: str = "auto",
 ) -> RunReport:
     """Run experiments through the task runtime; returns a report.
 
@@ -175,58 +227,21 @@ def run_experiments(
             its tasks in a pool of at least one worker process.
         retries: extra attempts per task on worker failure.
         reporter: progress sink (see :mod:`repro.runtime.progress`).
-        engine: trial-engine selection, one of
-            :data:`repro.core.trials.TRIAL_ENGINES`, threaded to
-            engine-aware modules -- the delivery and pumping engines
-            of the probabilistic shards (E3/E4).  Execution
-            configuration: all engines are bit-identical, so it is
-            bound onto the task runner, never into task specs, and
-            stays out of cache keys; the request is recorded in the
-            run manifest and the tier each task ran in its metrics.
 
     Raises:
         TaskFailure: a task failed after all retries; no partial
             results are returned.
     """
-    from repro.core.trials import TRIAL_ENGINES
-
-    if engine not in TRIAL_ENGINES:
-        raise ValueError(
-            f"engine must be one of {TRIAL_ENGINES}, got {engine!r}"
-        )
-    runner = None
-    if engine != "auto":
-        # Bind the execution configuration onto the task body; the
-        # default keeps the executor's own runner.
-        from repro.runtime.worker import execute
-
-        runner = functools.partial(execute, engine=engine)
-
-    specs = plan_tasks(names, fast=fast, seed=seed)
-    outcomes = run_tasks(
-        specs,
+    outcomes, manifest = settle_plan(
+        plan_tasks(names, fast=fast, seed=seed),
+        names,
+        fast,
+        seed,
         workers=workers,
         cache=cache,
         timeout=timeout,
         retries=retries,
         reporter=reporter,
-        runner=runner,
     )
-    failed = [o for o in outcomes if o.status == STATUS_FAILED]
-    if failed:
-        raise TaskFailure(failed)
     results = merge_outcomes(names, outcomes, fast, seed)
-    manifest = build_manifest(
-        outcomes,
-        names=names,
-        fast=fast,
-        seed=seed,
-        workers=resolve_workers(
-            workers,
-            [o.spec for o in outcomes if o.status != STATUS_CACHED],
-        ),
-        code_version=cache_mod.code_version(),
-        cache_dir=str(cache.directory) if cache is not None else None,
-        engine=engine,
-    )
     return RunReport(results=results, manifest=manifest, outcomes=outcomes)

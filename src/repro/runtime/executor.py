@@ -11,11 +11,13 @@ one of them exactly once, in three layers:
    worker, so the limit is enforced; transparent pool recovery on
    :class:`~concurrent.futures.process.BrokenProcessPool`), or
    in-process otherwise.  ``workers=None`` picks the count after the
-   cache lookup (:func:`resolve_workers`);
-3. **retry** -- tasks that raised are retried up to ``retries`` more
-   times (fresh submission each round) before settling as ``failed``.
-   Tasks a replaced pool had not finished rerun without using up an
-   attempt.
+   cache lookup (:func:`resolve_workers`).  The pool holds at most
+   ``workers`` tasks at a time, so each task starts when it is
+   submitted and its limit counts from then; a pool whose task
+   overran is replaced, its workers terminated;
+3. **retry** -- tasks that raised or overran are resubmitted up to
+   ``retries`` more times before settling as ``failed``.  Tasks a
+   replaced pool had not finished rerun without using up an attempt.
 
 Outcomes are returned in the order of the input specs regardless of
 completion order, so downstream merging is deterministic.
@@ -23,10 +25,13 @@ completion order, so downstream merging is deterministic.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
+import math
 import os
+import time
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.runtime.progress import NullReporter
 from repro.runtime.task import (
@@ -98,11 +103,11 @@ def run_tasks(
             :func:`resolve_workers`.
         cache: optional :class:`~repro.runtime.cache.ResultCache`;
             hits skip execution, fresh results are written back.
-        timeout: per-task wall-clock limit in seconds.  A run with a
-            timeout executes its tasks in a pool of at least one
-            worker process, since only a worker can be abandoned
-            when its task overruns.
-        retries: additional attempts for tasks that raise.
+        timeout: per-task wall-clock limit in seconds, counted from
+            the task's submission.  A run with a timeout executes its
+            tasks in a pool of at least one worker process, since
+            only a worker can be stopped when its task overruns.
+        retries: additional attempts for tasks that raise or overrun.
         reporter: progress sink (see :mod:`repro.runtime.progress`).
         runner: override the task body (tests); defaults to
             :func:`repro.runtime.worker.execute`.
@@ -213,73 +218,101 @@ def _run_serial(specs, pending, attempts, retries, runner, settle) -> None:
 def _run_pooled(
     specs, pending, attempts, workers, timeout, retries, runner, settle
 ) -> None:
-    remaining = list(pending)
-    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+    queue = collections.deque(pending)
+    # future -> (spec index, deadline).  At most ``workers`` tasks are
+    # in flight, so a submitted task starts at once and its limit
+    # counts from then, and a dying worker takes down only the tasks
+    # in flight with it.
+    running: Dict[concurrent.futures.Future, Tuple[int, float]] = {}
+    pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+
+    def retry_or_fail(index: int, error: BaseException) -> None:
+        if attempts[index] <= retries:
+            queue.append(index)
+        else:
+            settle(index, _outcome_failed(specs[index], error, attempts[index]))
+
     try:
-        while remaining:
-            futures = {}
-            for index in remaining:
-                attempts[index] += 1
-                futures[index] = pool.submit(runner, specs[index].to_dict())
-            retry_round: List[int] = []
-            pool_broken = False
-            for index in list(futures):
-                spec = specs[index]
-                if pool_broken and not futures[index].done():
-                    # The pool is being replaced (a task overran or a
-                    # worker died), and this task may sit queued behind
-                    # the lost worker.  It has not failed, so it reruns
-                    # on the next pool free of charge.
-                    futures[index].cancel()
-                    attempts[index] -= 1
-                    retry_round.append(index)
-                    continue
-                try:
-                    result = futures[index].result(timeout=timeout)
-                except concurrent.futures.TimeoutError:
-                    futures[index].cancel()
-                    error: BaseException = TimeoutError(
-                        f"task exceeded {timeout}s"
-                    )
-                    if attempts[index] <= retries:
-                        retry_round.append(index)
-                    else:
-                        settle(
-                            index,
-                            _outcome_failed(spec, error, attempts[index]),
-                        )
-                    # A timed-out worker may still be burning its slot;
-                    # recycle the pool so later tasks start clean.
-                    pool_broken = True
-                except BrokenProcessPool as error:
-                    pool_broken = True
-                    if attempts[index] <= retries:
-                        retry_round.append(index)
-                    else:
-                        settle(
-                            index,
-                            _outcome_failed(spec, error, attempts[index]),
-                        )
-                except Exception as error:  # noqa: BLE001 - retried
-                    if attempts[index] <= retries:
-                        retry_round.append(index)
-                    else:
-                        settle(
-                            index,
-                            _outcome_failed(spec, error, attempts[index]),
-                        )
-                else:
-                    settle(index, _outcome_ok(spec, result, attempts[index]))
-            remaining = retry_round
-            if pool_broken:
-                pool.shutdown(wait=False, cancel_futures=True)
+        while queue or running:
+            if pool is None:
                 pool = concurrent.futures.ProcessPoolExecutor(
                     max_workers=workers
                 )
+            lost = False
+            while queue and len(running) < workers:
+                try:
+                    future = pool.submit(runner, specs[queue[0]].to_dict())
+                except BrokenProcessPool:
+                    lost = True  # a worker died since the last wait
+                    break
+                index = queue.popleft()
+                attempts[index] += 1
+                running[future] = (
+                    index,
+                    math.inf if timeout is None else time.monotonic() + timeout,
+                )
+            if not lost:
+                first = min(deadline for _, deadline in running.values())
+                concurrent.futures.wait(
+                    running,
+                    timeout=(
+                        None if first == math.inf
+                        else max(0.0, first - time.monotonic())
+                    ),
+                    return_when=concurrent.futures.FIRST_COMPLETED,
+                )
+            for future in [f for f in running if f.done()]:
+                index, _ = running.pop(future)
+                error = future.exception()
+                if error is None:
+                    settle(index, _outcome_ok(
+                        specs[index], future.result(), attempts[index]
+                    ))
+                else:
+                    lost = lost or isinstance(error, BrokenProcessPool)
+                    retry_or_fail(index, error)
+            now = time.monotonic()
+            for future, (index, deadline) in list(running.items()):
+                if deadline <= now:
+                    del running[future]
+                    retry_or_fail(
+                        index, TimeoutError(f"task exceeded {timeout}s")
+                    )
+                    lost = True
+            if lost:
+                # A task overran (its worker is still busy with it) or a
+                # worker died: replace the pool.  The tasks it had not
+                # finished have not failed, so they rerun first, free of
+                # charge.
+                unfinished = [index for index, _ in running.values()]
+                for index in unfinished:
+                    attempts[index] -= 1
+                queue.extendleft(reversed(unfinished))
+                running.clear()
+                _discard(pool)
+                pool = None
     except BaseException:
-        pool.shutdown(wait=False, cancel_futures=True)
+        if pool is not None:
+            _discard(pool)
         raise
-    # Every task of this pool has settled, so joining its idle workers
-    # is quick.  Left to interpreter exit, the join races the pool's
-    # own teardown and can print an ignored "Bad file descriptor".
-    pool.shutdown(wait=True)
+    if pool is not None:
+        # Every task of this pool has settled, so joining its idle
+        # workers is quick.  Left to interpreter exit, the join races
+        # the pool's own teardown and can print an ignored "Bad file
+        # descriptor".
+        pool.shutdown(wait=True)
+
+
+def _discard(pool: concurrent.futures.ProcessPoolExecutor) -> None:
+    """Stop ``pool`` and its workers now, even one mid-task.
+
+    A worker on an abandoned task would otherwise run it to the end,
+    and the interpreter waits for it at exit.  Terminating the workers
+    makes the pool's manager thread fail what it still holds and join
+    them; ``shutdown(wait=True)`` waits for that thread.
+    ``ProcessPoolExecutor.terminate_workers`` does the same from
+    Python 3.14 on, but does not wait.
+    """
+    for process in list((pool._processes or {}).values()):
+        process.terminate()
+    pool.shutdown(wait=True, cancel_futures=True)

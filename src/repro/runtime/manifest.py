@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.runtime.task import STATUS_CACHED, STATUS_FAILED, TaskOutcome
 
-MANIFEST_SCHEMA = "repro.runtime/1"
+MANIFEST_SCHEMA = "repro.runtime/2"
 
 # Fields that legitimately differ between two executions of the same
 # run (consumers diffing manifests should mask these).
@@ -32,14 +32,13 @@ def build_manifest(
     workers: int,
     code_version: str,
     cache_dir: Optional[str] = None,
-    engine: str = "auto",
     campaign: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble the manifest dict for one finished run.
 
-    ``engine`` is the run-level trial-engine request; the engine each
-    shard actually resolved to (``auto`` may fan out per protocol) is
-    in that task's ``metrics["engine"]``.  ``campaign`` is the
+    The trial tier each task ran, and the gate's reason when a faster
+    one was refused, are in that task's ``metrics["engine"]`` and
+    ``metrics["engine_refusal"]``.  ``campaign`` is the
     campaign-identity section for runs planned from a
     :class:`~repro.campaign.spec.CampaignSpec` (see
     :func:`repro.campaign.engine.manifest_entry`); plain experiment
@@ -79,7 +78,6 @@ def build_manifest(
         "fast": fast,
         "root_seed": seed,
         "workers": workers,
-        "engine": engine,
         "cache_dir": cache_dir,
         "code_version": code_version,
         "tasks": tasks,

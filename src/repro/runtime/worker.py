@@ -15,6 +15,9 @@ Dispatch is by experiment name through the registries in
   serialized via ``ExperimentResult.to_dict()``;
 * ``kind == "cell"`` -> :func:`repro.campaign.cells.run_cell` on the
   task's self-contained cell parameters (declarative campaigns).
+
+The spec dict is the whole input: which trial tier a run takes is
+decided inside :mod:`repro.core` and its callers, never here.
 """
 
 from __future__ import annotations
@@ -25,21 +28,8 @@ from typing import Any, Dict
 from repro.runtime.task import KIND_CELL, KIND_SHARD, KIND_WHOLE
 
 
-def execute(
-    spec_dict: Dict[str, Any],
-    engine: Any = None,
-) -> Dict[str, Any]:
-    """Run one task; returns ``{"payload": ..., "wall_time": ...}``.
-
-    ``engine`` is execution configuration, not task identity: it is
-    bound onto this function (``functools.partial``) by the engine
-    rather than carried in the spec dict, so it never reaches cache
-    keys (all trial engines are bit-identical, so the engine choice
-    cannot change a payload).
-    ``engine`` reaches only shard modules that declare
-    ``ENGINE_AWARE = True`` (via ``run_shard(..., engine=)``) and
-    campaign cells; whole experiments ignore it.
-    """
+def execute(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one task; returns ``{"payload": ..., "wall_time": ...}``."""
     from repro.experiments.runner import REGISTRY, SHARDED
 
     name = spec_dict["experiment"]
@@ -51,24 +41,11 @@ def execute(
         module = SHARDED.get(name)
         if module is None:
             raise KeyError(f"experiment {name!r} is not sharded")
-        if engine is not None and getattr(module, "ENGINE_AWARE", False):
-            payload = module.run_shard(
-                spec_dict["params"], fast, seed, engine=engine
-            )
-        else:
-            payload = module.run_shard(spec_dict["params"], fast, seed)
+        payload = module.run_shard(spec_dict["params"], fast, seed)
     elif kind == KIND_CELL:
         from repro.campaign.cells import run_cell
 
-        # Cells are uniformly engine-aware: the tier choice is resolved
-        # inside the cell per kind, exactly as the bespoke experiments
-        # resolve it per shard.
-        payload = run_cell(
-            spec_dict["params"],
-            fast,
-            seed,
-            engine=engine if engine is not None else "auto",
-        )
+        payload = run_cell(spec_dict["params"], fast, seed)
     elif kind == KIND_WHOLE:
         run = REGISTRY.get(name)
         if run is None:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.campaign.cells import run_cell
+from repro.core import trials
 from repro.campaign.compiler import compile_campaign
 from repro.campaign.spec import CampaignSpec, CellGroup
 
@@ -33,7 +34,12 @@ def test_delivery_cell_deterministic():
     assert "engine_refusal" not in first["metrics"]
 
 
-def test_delivery_cell_engine_tiers_identical():
+REFUSAL = "refused for the test"
+
+
+def test_delivery_cell_engine_tiers_identical(monkeypatch):
+    """With the batch gate refusing, the cell runs the interpreted
+    reference, records the refusal, and reports the same values."""
     task = compiled_cell(
         CellGroup(
             cell="delivery",
@@ -44,12 +50,15 @@ def test_delivery_cell_engine_tiers_identical():
             metrics=["delivered", "packets"],
         )
     )
-    reference = run_cell(task.params, True, task.seed, engine="interpreted")
-    for engine in ("auto", "batch"):
-        payload = run_cell(task.params, True, task.seed, engine=engine)
-        assert payload["values"] == reference["values"]
-        assert payload["metrics"]["engine"] == "batch"
+    payload = run_cell(task.params, True, task.seed)
+    assert payload["metrics"]["engine"] == "batch"
+    monkeypatch.setattr(
+        trials, "probabilistic_batch_refusal", lambda *args: REFUSAL
+    )
+    reference = run_cell(task.params, True, task.seed)
     assert reference["metrics"]["engine"] == "interpreted"
+    assert reference["metrics"]["engine_refusal"] == REFUSAL
+    assert payload["values"] == reference["values"]
 
 
 def test_delivery_cell_rejects_negative_message_count():
@@ -129,7 +138,7 @@ def test_backlog_cell_reports_probe_fields():
     assert first["metrics"]["messages_spent"] >= 1
 
 
-def test_backlog_cell_engine_tiers_identical():
+def test_backlog_cell_engine_tiers_identical(monkeypatch):
     task = compiled_cell(
         CellGroup(
             cell="backlog",
@@ -139,10 +148,13 @@ def test_backlog_cell_engine_tiers_identical():
             metrics=["extension_packets", "lower_bound", "headers"],
         )
     )
-    reference = run_cell(task.params, True, task.seed, engine="interpreted")
-    for engine in ("auto", "batch"):
-        payload = run_cell(task.params, True, task.seed, engine=engine)
-        assert payload["values"] == reference["values"]
+    payload = run_cell(task.params, True, task.seed)
+    assert payload["metrics"]["engine"] == "batch"
+    monkeypatch.setattr(trials, "pump_batch_refusal", lambda *args: REFUSAL)
+    reference = run_cell(task.params, True, task.seed)
+    assert reference["metrics"]["engine"] == "interpreted"
+    assert reference["metrics"]["engine_refusal"] == REFUSAL
+    assert payload["values"] == reference["values"]
 
 
 def test_backlog_cell_dichotomy_mode():

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.campaign.compiler import campaign_for_experiment
 from repro.campaign.engine import run_campaign
 from repro.campaign.spec import CampaignSpec, CellGroup
 from repro.runtime.cache import ResultCache
@@ -93,6 +94,18 @@ def test_manifest_carries_campaign_identity(runs):
     assert identity["name"] == "tiny"
     assert identity["cells"] == 4
     assert identity["experiment"] is None
+
+
+@pytest.mark.parametrize("workers, expected", [(None, 1), (2, 2)])
+@pytest.mark.parametrize("backed", [False, True],
+                         ids=["cells", "experiment-backed"])
+def test_manifest_records_the_worker_count_that_ran(backed, workers,
+                                                    expected):
+    """``workers=None`` runs a campaign serially (its tasks share one
+    experiment id) and the manifest says so on both run paths."""
+    spec = campaign_for_experiment("hoeffding") if backed else tiny_spec()
+    report = run_campaign(spec, fast=True, seed=0, workers=workers)
+    assert report.manifest["workers"] == expected
 
 
 def cell_spec(params):

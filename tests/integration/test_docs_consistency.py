@@ -1,13 +1,15 @@
 """Integration: the documentation's claims about the code are true.
 
-DESIGN.md's module inventory and per-experiment index, and
-EXPERIMENTS.md's command lines, must reference things that exist --
-documentation drift fails loudly here.
+DESIGN.md's module inventory and per-experiment index, and the command
+lines of every doc, must reference things that exist -- documentation
+drift fails loudly here.
 """
 
 import importlib
 import pathlib
 import re
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -73,3 +75,47 @@ def test_experiments_md_transcript_is_current_format():
     assert "generated by `python -m repro.experiments all" in text
     # No failing checks in the recorded transcript.
     assert "- [ ]" not in text
+
+
+DOCUMENTED = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
+SUBCOMMANDS = {"bench-report", "campaign", "check", "list"}
+# One command line, with backslash continuations already joined; an
+# inline code span, a table cell or a shell comment ends it.
+COMMAND = re.compile(r"python -m repro\.experiments[ \t]+([\w-]+)([^`|#\n]*)")
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
+
+def documented_commands():
+    """``(doc, subcommand, rest of the line)`` for every documented run."""
+    for pattern in DOCUMENTED:
+        for path in sorted(ROOT.glob(pattern)):
+            text = path.read_text(encoding="utf-8").replace("\\\n", " ")
+            for sub, rest in COMMAND.findall(text):
+                yield path.relative_to(ROOT).as_posix(), sub, rest
+
+
+def test_documented_commands_use_flags_that_exist(capsys):
+    """Every ``--flag`` a doc passes to ``python -m repro.experiments``
+    is in the ``--help`` of that subcommand's parser; experiment names
+    and ``all`` share the runner's parser."""
+    from repro.experiments.runner import REGISTRY, main
+
+    options = {}
+    stale = []
+    commands = list(documented_commands())
+    assert len(commands) > 20
+    for doc, sub, rest in commands:
+        assert sub in SUBCOMMANDS | set(REGISTRY) | {"all"}, (
+            f"{doc}: unknown subcommand {sub!r}"
+        )
+        parser = sub if sub in SUBCOMMANDS else "all"
+        if parser not in options:
+            with pytest.raises(SystemExit):
+                main(([] if parser == "all" else [parser]) + ["--help"])
+            options[parser] = set(FLAG.findall(capsys.readouterr().out))
+        stale += [
+            f"{doc}: {sub} {flag}"
+            for flag in FLAG.findall(rest)
+            if flag not in options[parser]
+        ]
+    assert not stale, f"documented flags that do not exist: {stale}"

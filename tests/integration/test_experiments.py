@@ -92,7 +92,8 @@ def test_cli_json_flag_writes_results_and_manifest(capsys, tmp_path,
     assert document["passed"] is True
     assert document["experiments"][0]["exp_id"] == "E5"
     manifest = document["manifest"]
-    assert manifest["schema"] == "repro.runtime/1"
+    assert manifest["schema"] == "repro.runtime/2"
+    assert "engine" not in manifest
     assert [task["experiment"] for task in manifest["tasks"]] == (
         ["hoeffding"] * len(manifest["tasks"])
     )

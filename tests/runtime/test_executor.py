@@ -7,6 +7,7 @@ ProcessPoolExecutor must be picklable by reference).
 import concurrent.futures
 import dataclasses
 import multiprocessing
+import os
 import time
 
 import pytest
@@ -62,6 +63,27 @@ def first_shard_sleeps(spec_dict):
     if spec_dict["shard"] == "s0":
         time.sleep(3.0)
     return echo_runner(spec_dict)
+
+
+def first_shard_dies(spec_dict):
+    """Pool-safe: shard s0 kills its worker process, the rest echo."""
+    if spec_dict["shard"] == "s0":
+        os._exit(1)
+    return echo_runner(spec_dict)
+
+
+def sleeps_as_asked(spec_dict):
+    """Pool-safe: sleeps the spec's ``sleep`` seconds, then echoes."""
+    time.sleep(spec_dict["params"]["sleep"])
+    return echo_runner(spec_dict)
+
+
+def sleep_specs(*durations):
+    """``specs(n)``, the i-th one sleeping ``durations[i]`` seconds."""
+    return [
+        dataclasses.replace(spec, params={**spec.params, "sleep": seconds})
+        for spec, seconds in zip(specs(len(durations)), durations)
+    ]
 
 
 def test_serial_runs_in_order():
@@ -122,6 +144,43 @@ def test_pool_timeout_fails_task():
     )
     assert outcomes[0].status == STATUS_FAILED
     assert "TimeoutError" in outcomes[0].error
+
+
+def test_overrunning_worker_is_stopped_before_returning():
+    """The worker of a task past its limit is terminated, not left to
+    finish: a hung task must not keep the process alive."""
+    before = set(multiprocessing.active_children())
+    started = time.perf_counter()
+    outcomes = run_tasks(
+        specs(1), workers=1, timeout=0.25, retries=0, runner=sleepy_runner
+    )
+    assert outcomes[0].status == STATUS_FAILED
+    assert set(multiprocessing.active_children()) - before == set()
+    assert time.perf_counter() - started < 2.0
+
+
+def test_timeout_counts_from_submission():
+    """Both tasks start at once on two workers, so the 0.7 s one
+    overruns a 0.55 s limit although the 0.4 s one settles first."""
+    outcomes = run_tasks(
+        sleep_specs(0.4, 0.7), workers=2, timeout=0.55, retries=0,
+        runner=sleeps_as_asked,
+    )
+    assert [o.status for o in outcomes] == [STATUS_OK, STATUS_FAILED]
+    assert "TimeoutError" in outcomes[1].error
+
+
+def test_dead_worker_fails_only_its_task():
+    """A worker that dies breaks its pool; the task it ran uses up its
+    attempts, and the tasks behind it run on a fresh pool."""
+    outcomes = run_tasks(
+        specs(3), workers=1, timeout=30, retries=1, runner=first_shard_dies
+    )
+    assert [o.status for o in outcomes] == [
+        STATUS_FAILED, STATUS_OK, STATUS_OK
+    ]
+    assert "BrokenProcessPool" in outcomes[0].error
+    assert [o.attempts for o in outcomes] == [2, 1, 1]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
