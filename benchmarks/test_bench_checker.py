@@ -15,9 +15,6 @@ Workloads:
   60k-configuration budget;
 * ``check_capflood32_60k_typeok_s`` -- the identical traversal with
   the ``type-ok`` invariant scanned at every level barrier;
-* ``check_capflood32_60k_typeok_disk_s`` -- same, with the
-  disk-backed visited set (``store="disk"``): the RAM-bounding
-  tradeoff, expected slower, recorded not bounded;
 * ``check_forgery_eager_s`` -- end-to-end Theorem 3.1 forgery hunt on
   sequence-sender + eager-receiver, counterexample reconstruction and
   concrete replay included.
@@ -40,7 +37,7 @@ from repro.ioa.exploration_parallel import explore_station_states_parallel
 
 BLOB_PATH = pathlib.Path(__file__).resolve().parents[1] / "BENCH_checker.json"
 
-#: Acceptance bound on the invariant-scan overhead (in-RAM store).
+#: Acceptance bound on the invariant-scan overhead.
 #: The measured ratio is committed in BENCH_checker.json; the in-test
 #: ceiling is looser because shared CI runners are noisy.
 MAX_OVERHEAD_X = 1.25
@@ -55,11 +52,11 @@ def bfs_plain():
     )
 
 
-def check_typeok(**kwargs):
+def check_typeok():
     sender, receiver = make_capacity_flooding(3, 2)
     return check_protocol(
         sender, receiver, ["m0", "m1"], "type-ok", max_messages=3,
-        max_configurations=60_000, trace="off", **kwargs,
+        max_configurations=60_000, trace="off",
     )
 
 
@@ -73,7 +70,6 @@ def check_forgery(tmp=None):
 WORKLOADS = {
     "bfs_capflood32_60k_plain_s": bfs_plain,
     "check_capflood32_60k_typeok_s": check_typeok,
-    "check_capflood32_60k_typeok_disk_s": lambda: check_typeok(store="disk"),
     "check_forgery_eager_s": check_forgery,
 }
 
@@ -114,9 +110,7 @@ def test_emit_timings_blob(write_bench_blob):
     }
     plain = after["bfs_capflood32_60k_plain_s"]
     checked = after["check_capflood32_60k_typeok_s"]
-    disk = after["check_capflood32_60k_typeok_disk_s"]
     overhead = round(checked / max(plain, 1e-9), 3)
-    disk_overhead = round(disk / max(plain, 1e-9), 3)
     blob = {
         "bench": "bounded-checker",
         "baseline_commit": "fa5aa8d",
@@ -125,14 +119,12 @@ def test_emit_timings_blob(write_bench_blob):
         # counterpart -- its baseline is the traversal it embeds).
         "before_s": {
             "check_capflood32_60k_typeok_s": plain,
-            "check_capflood32_60k_typeok_disk_s": plain,
         },
         "after_s": after,
         # Trend number: plain/checked, i.e. 1/overhead -- "how close
         # to free is invariant checking" (1.0 = free).
         "speedup_x": round(plain / max(checked, 1e-9), 2),
         "invariant_overhead_x": overhead,
-        "disk_store_overhead_x": disk_overhead,
         "forgery_search_s": after["check_forgery_eager_s"],
         "max_invariant_overhead_x": MAX_OVERHEAD_X,
     }

@@ -1,5 +1,5 @@
-"""repro.checker -- a bounded model checker over the level-synchronous
-BFS driver of :mod:`repro.ioa.exploration_parallel`.
+"""repro.checker -- a bounded model checker over the level-synchronous,
+in-memory BFS of :mod:`repro.ioa.exploration_parallel`.
 
 Public surface:
 
@@ -10,8 +10,8 @@ Public surface:
 * :class:`~repro.checker.result.CheckResult` and
   :class:`~repro.checker.trace.Counterexample`.
 
-See ``docs/CHECKER.md`` for the property API, the bounding discipline
-and the disk-backed visited-set mode.
+See ``docs/CHECKER.md`` for the property API and the bounding
+discipline.
 """
 
 from repro.checker.engine import check_protocol
@@ -26,7 +26,6 @@ from repro.checker.properties import (
     make_property,
 )
 from repro.checker.result import CheckResult
-from repro.checker.store import DiskVisitedStore, LevelLog
 from repro.checker.trace import Counterexample, TraceStep, replay_counterexample
 
 __all__ = [
@@ -34,10 +33,8 @@ __all__ = [
     "CheckResult",
     "ConfigView",
     "Counterexample",
-    "DiskVisitedStore",
     "Dl1ForgeryProperty",
     "HeaderBoundProperty",
-    "LevelLog",
     "Property",
     "STOCK_PROPERTIES",
     "TraceStep",

@@ -142,24 +142,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="channel value-set bound (prune larger successors)",
     )
     parser.add_argument(
-        "--store",
-        choices=("memory", "disk"),
-        default="memory",
-        help="visited-set backend",
-    )
-    parser.add_argument("--store-dir", default=None, metavar="DIR")
-    parser.add_argument(
         "--trace",
         choices=("auto", "inline", "off"),
         default="auto",
         help="counterexample reconstruction mode",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=0, metavar="LEVELS"
-    )
-    parser.add_argument("--checkpoint-dir", default=None, metavar="DIR")
-    parser.add_argument(
-        "--no-resume", action="store_true", help="ignore existing checkpoints"
     )
     parser.add_argument(
         "--no-replay",
@@ -206,12 +192,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             max_configurations=args.max_configurations,
             trace=args.trace,
             replay=not args.no_replay,
-            store=args.store,
-            store_dir=args.store_dir,
             capacity=args.capacity,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-            resume=not args.no_resume,
         )
     except ValueError as exc:
         # e.g. a negative bound.
@@ -236,12 +217,10 @@ def _print_human(result, system: str) -> None:
     print(f"property   {result.property_spec} ({result.property_kind})")
     print(f"system     {system}")
     print(f"verdict    {result.verdict.upper()}")
-    engine = stats.get("engine") or {}
     print(
         f"search     {stats.get('configurations', '?')} configurations, "
         f"{stats.get('levels', '?')} levels, "
-        f"{stats.get('elapsed_s', '?')}s "
-        f"[store={engine.get('store', '?')}]"
+        f"{stats.get('elapsed_s', '?')}s"
     )
     if stats.get("capacity_error"):
         print(f"capacity   {stats['capacity_error']}")

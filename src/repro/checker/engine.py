@@ -8,9 +8,9 @@ at the first level barrier with a hit -- an invariant violation or a
 reachability target.  Because BFS levels are a property of the
 protocol alone, the verdict, the stop level, the set of hit
 configurations and the canonically selected counterexample target are
-**identical for any visited-set store and across checkpoint resume**
--- the same exactness argument as the state counts, extended to
-verdicts.
+**identical whether or not parents are tracked** -- the same
+exactness argument as the state counts, extended to verdicts.  The
+search runs in memory and keeps no state on disk.
 
 The bounding discipline is the paper's (and the CFSM literature's):
 ``max_messages`` bounds environment injections per path, ``capacity``
@@ -29,8 +29,8 @@ Counterexample path reconstruction records, per newly discovered
 configuration, a **canonical parent pointer**: among every proposal
 ``(parent digest, move class, argument rank)`` generated for the
 configuration at its discovery level the minimum is kept, so the
-reconstructed path does not depend on expansion order.  Parents ride
-the level-barrier checkpoints (``trace="inline"``); the default
+reconstructed path does not depend on expansion order.
+``trace="inline"`` tracks parents during the main search; the default
 ``trace="auto"`` runs the main search without parents and re-runs it
 with parents only when a hit is found, keeping the common no-hit
 search at plain-BFS cost.  The path is then re-executed through the
@@ -45,7 +45,7 @@ from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tupl
 
 from repro.ioa.automaton import IOAutomaton
 from repro.ioa.exploration import ExplorationCapacityError
-from repro.ioa.exploration_parallel import _run_search, default_checkpoint_dir
+from repro.ioa.exploration_parallel import _run_search
 from repro.checker.properties import make_property
 from repro.checker.result import CheckResult
 from repro.checker.trace import Counterexample, TraceStep, replay_counterexample
@@ -93,12 +93,7 @@ def check_protocol(
     max_configurations: int = 200_000,
     trace: str = "auto",
     replay: bool = True,
-    store: str = "memory",
-    store_dir: Optional[str] = None,
     capacity: Optional[int] = None,
-    checkpoint_every: int = 0,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = True,
 ) -> CheckResult:
     """Bounded model check of one property against one station pair.
 
@@ -116,40 +111,27 @@ def check_protocol(
             names it).  Negative bounds raise :class:`ValueError`.
         trace: counterexample reconstruction mode -- ``"auto"``
             (default: re-run with parent tracking only on a hit),
-            ``"inline"`` (track parents during the main search; they
-            ride the checkpoints), or ``"off"`` (verdict only).
+            ``"inline"`` (track parents during the main search), or
+            ``"off"`` (verdict only).
         replay: re-execute the counterexample through the concrete
             :class:`~repro.datalink.system.DataLinkSystem` pipeline and
             attach the spec-checked execution.
-        store: visited-set backend -- ``"memory"`` or ``"disk"``
-            (see :mod:`repro.checker.store`).
-        store_dir: disk-store directory (default under
-            ``<cache>/checker/store/<key>``).
         capacity: optional channel value-set bound (``>= 1``);
             successors whose per-direction set would exceed it are
             pruned (the bounding discipline for unbounded-header
             protocols).
-        checkpoint_every: checkpoint cadence in levels; ``0`` disables
-            unless ``checkpoint_dir`` is given.
-        checkpoint_dir: checkpoint directory (default
-            ``<cache>/checker``).
-        resume: continue from a matching checkpoint.
 
     Returns:
         A :class:`~repro.checker.result.CheckResult`; verdicts and
-        counterexample traces are identical for either store and
-        across checkpoint resume.
+        counterexample traces are identical for every ``trace`` mode
+        that reconstructs one.
     """
     if isinstance(prop, str):
         prop = make_property(prop)
     alphabet: List[Hashable] = list(message_alphabet)
     if trace not in ("auto", "inline", "off"):
         raise ValueError(f"trace must be auto/inline/off, not {trace!r}")
-    if store not in ("memory", "disk"):
-        raise ValueError(f"store must be memory/disk, not {store!r}")
     del_cap = max_messages + 1 if prop.needs_delivered else 0
-    if checkpoint_every > 0 and checkpoint_dir is None:
-        checkpoint_dir = default_checkpoint_dir("checker")
 
     started = time.perf_counter()
     options = {
@@ -158,7 +140,6 @@ def check_protocol(
         "max_messages": max_messages,
         "max_configurations": max_configurations,
         "trace": trace,
-        "store": store,
         "capacity": capacity,
     }
 
@@ -174,11 +155,6 @@ def check_protocol(
             track_parents=(trace == "inline"),
             del_cap=del_cap,
             capacity=capacity,
-            store=store,
-            store_dir=store_dir,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
         )
     except ExplorationCapacityError as exc:
         return CheckResult(
@@ -211,8 +187,8 @@ def check_protocol(
     target_digest = outcome["target"][0]
     steps = outcome["path"]
     if steps is None and trace == "auto":
-        # Phase 2: the identical search in memory, with parent
-        # tracking, stopping at the same hit barrier.
+        # Phase 2: the identical search with parent tracking,
+        # stopping at the same hit barrier.
         second = _run_search(
             sender.clone(), receiver.clone(), alphabet, prop,
             max_messages=max_messages,
@@ -220,11 +196,6 @@ def check_protocol(
             track_parents=True,
             del_cap=del_cap,
             capacity=capacity,
-            store="memory",
-            store_dir=None,
-            checkpoint_every=0,
-            checkpoint_dir=None,
-            resume=False,
         )
         if second["target"] is None or second["target"][0] != target_digest:
             raise RuntimeError(

@@ -25,9 +25,9 @@ class CheckResult:
         counterexample: the reconstructed (and, by default, replayed)
             path to the hit; ``None`` unless ``verdict == "violated"``
             and tracing was enabled.
-        stats: search statistics (levels, configurations, the
-            visited-set store, engine metadata; partial-progress fields
-            on capacity errors).
+        stats: search statistics (levels, configurations, intern
+            table sizes, engine metadata; partial-progress fields on
+            capacity errors).
         options: the bounding options the verdict is relative to.
     """
 

@@ -106,15 +106,15 @@ class Counterexample:
         return len(self.steps)
 
     def fingerprint(self) -> str:
-        """Content hash of the abstract path; identical across stores
-        and resume.
+        """Content hash of the abstract path; identical across trace
+        modes and processes.
 
         Hashed over ``repr`` rather than ``pickle``: pickle's memo
         encodes object *identity* (an interned value appearing twice
         serialises differently from two equal copies of it), which
-        varies with how a portable's values were interned -- a resumed
-        search reads them back from a checkpoint.  ``repr`` of these
-        values -- packets, tuples, strings, ints -- is pure content.
+        varies with how a portable's values were interned.  ``repr``
+        of these values -- packets, tuples, strings, ints -- is pure
+        content.
         """
         canon = tuple(_canonical_step(step) for step in self.steps)
         return hashlib.sha256(repr(canon).encode("utf-8")).hexdigest()

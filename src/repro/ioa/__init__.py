@@ -19,8 +19,8 @@ of that model that every other layer of the reproduction builds on:
   operator (output-to-input wiring, nesting, fair scheduling).
 * :mod:`repro.ioa.exploration` -- reachable-state enumeration used by
   the Theorem 2.1 boundness analysis.
-* :mod:`repro.ioa.exploration_parallel` -- the one level-synchronous
-  BFS (checkpointing) behind exploration and the checker.
+* :mod:`repro.ioa.exploration_parallel` -- the one level-synchronous,
+  in-memory BFS behind exploration and the checker.
 """
 
 from repro.ioa.actions import (

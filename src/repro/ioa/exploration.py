@@ -65,8 +65,8 @@ that lookup, so hit counts are lower than the number of generated
 successors.
 
 This module holds the interned search and the result types.  The BFS
-itself -- one level-synchronous search shared with the checker, with
-checkpoint/resume -- lives in :mod:`repro.ioa.exploration_parallel`;
+itself -- one level-synchronous, in-memory search shared with the
+checker -- lives in :mod:`repro.ioa.exploration_parallel`;
 :func:`explore_station_states` runs it.
 """
 
@@ -624,9 +624,6 @@ def explore_station_states(
     message_alphabet: Iterable[Hashable],
     max_messages: int = 2,
     max_configurations: int = 200_000,
-    checkpoint_every: int = 0,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = True,
 ) -> ExplorationResult:
     """Enumerate station states reachable under an adversarial channel.
 
@@ -641,48 +638,26 @@ def explore_station_states(
             saturate at small values.
         max_configurations: exploration budget; when exceeded the
             result is marked ``truncated``.
-        checkpoint_every: snapshot the search every N frontier levels
-            (routes through the level-barrier entry,
-            :func:`repro.ioa.exploration_parallel.explore_station_states_parallel`).
-            ``0`` disables checkpointing.
-        checkpoint_dir: directory for checkpoint files; defaults to
-            ``<result cache dir>/exploration`` when checkpointing is
-            enabled.  Passing a directory enables checkpointing.
-        resume: continue from a matching checkpoint instead of
-            restarting (checkpointed runs only).
 
     Returns:
         An :class:`ExplorationResult` with the visited station states.
 
-    Every path runs the one level-synchronous BFS of
-    :mod:`repro.ioa.exploration_parallel`.  Without checkpoints the
-    search truncates at exactly ``max_configurations`` visited
-    configurations, in BFS-FIFO order: it expands only a prefix of the
-    level that would overrun the budget.  Checkpointed runs truncate
-    at level barriers, so they can exceed the cap by up to one level.
-    Non-truncated results are identical on every path.
+    This runs the one level-synchronous BFS of
+    :mod:`repro.ioa.exploration_parallel`, truncated at exactly
+    ``max_configurations`` visited configurations in BFS-FIFO order:
+    it expands only a prefix of the level that would overrun the
+    budget.  The level-barrier entry
+    (:func:`~repro.ioa.exploration_parallel.explore_station_states_parallel`)
+    cuts at the level barrier instead; non-truncated results are
+    identical on both.
     """
     from repro.ioa import exploration_parallel as driver
 
-    if checkpoint_every > 0 or checkpoint_dir is not None:
-        return driver.explore_station_states_parallel(
-            sender,
-            receiver,
-            message_alphabet,
-            max_messages=max_messages,
-            max_configurations=max_configurations,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-        )
     return driver._explore(
         sender,
         receiver,
         message_alphabet,
         max_messages=max_messages,
         max_configurations=max_configurations,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=None,
-        resume=resume,
         exact=True,
     )

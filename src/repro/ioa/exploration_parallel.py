@@ -15,14 +15,14 @@ depth ``d`` are expanded before any at depth ``d + 1``, and each newly
 adopted level is scanned with the property before it is expanded.  The
 set of configurations at each level is a property of the protocol
 alone (successors of the previous level, minus everything already
-seen), so verdicts, state counts and counterexamples are identical
-across visited-set stores and checkpoint resume.
+seen), so verdicts, state counts and counterexamples do not depend
+on the order in which a level is expanded.
 
 Two loops expand a level:
 
 * :meth:`_BFS.run_levels` -- the tight loop, used when parents are not
   tracked: many levels per call, with every barrier (property scan,
-  budget, checkpoint cadence, hit stop) at a level boundary;
+  budget, hit stop) at a level boundary;
 * :meth:`_BFS.expand` -- one level per call, proposing a parent for
   every successor; used when a counterexample path is reconstructed.
 
@@ -32,10 +32,10 @@ Canonical targets and parents
 Hit targets and parents are named by a **stable content digest**
 (BLAKE2b over a canonical pickle) of the station protocol-states and
 channel value-sets -- never Python's per-process-randomised ``hash``
--- so a counterexample is the same in every process and across
-resume.  Set digests are commutative sums of member digests.  Digest
-tables are kept per intern id only while tracking parents; otherwise a
-hit's digest is computed from its content (:func:`portable_digest`).
+-- so a counterexample is the same in every process.  Set digests
+are commutative sums of member digests.  Digest tables are kept per
+intern id only while tracking parents; otherwise a hit's digest is
+computed from its content (:func:`portable_digest`).
 The target is the minimum ``(digest, canonical)`` over the hits at the
 stop barrier, and each configuration keeps its minimum-rank parent
 proposal ``(parent digest, move class, argument rank)``, so the path
@@ -51,33 +51,15 @@ budget, so a truncated run may visit up to one level more than
 inside the level that would overrun the budget -- it expands only that
 level's first ``budget - visited`` configurations -- which is exactly
 the BFS-FIFO cut: Theorem 2.1's growth tables print that count.
-
-Checkpoint/resume
------------------
-
-With checkpointing enabled, the coordinator snapshots the search at
-level barriers -- intern tables, seen-set (plain ints), frontier,
-parent pointers -- every ``checkpoint_every`` levels, plus once at
-termination, whether complete, budget-truncated or stopped at a hit.
-Checkpoints live under ``<cache dir>/<exploration|checker>/<key>.ckpt``
-where :func:`checkpoint_key` hashes the protocol, alphabet, bounds,
-property, :data:`KERNEL_VERSION` and the source digest -- the same
-invalidation discipline as the result cache.  Because the key excludes
-``max_configurations``, a budget-capped search *resumes* where it
-stopped when rerun with a larger budget: caps become incremental
-budgets instead of repeated work.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
-import os
 import pickle
-import tempfile
 import time
 from typing import (
-    Any, Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple,
+    Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple,
 )
 
 from repro.ioa.actions import Direction
@@ -100,22 +82,10 @@ from repro.ioa.exploration import (
 
 __all__ = [
     "BFS_ENGINES",
-    "CHECKPOINT_FORMAT",
-    "KERNEL_VERSION",
-    "checkpoint_key",
-    "checkpoint_path",
     "explore_station_states_parallel",
     "portable_digest",
     "resolve_engine_tier",
 ]
-
-CHECKPOINT_FORMAT = "repro-bfs-checkpoint/4"
-
-#: Generation of the search kernels' statistics contract, salted into
-#: every checkpoint key.  Checkpoints key on the source digest too, so
-#: this only matters to readers that pin or strip it; bump on any
-#: change to what the kernels count.
-KERNEL_VERSION = "repro-kernel/3"
 
 #: The names :func:`resolve_engine_tier` accepts.
 BFS_ENGINES = ("auto", "interpreted")
@@ -129,20 +99,6 @@ _MOVE_INJECT, _MOVE_OUTPUT, _MOVE_DELIVER, _MOVE_ACK = 0, 1, 2, 3
 #: a delivery reads, shifted down to the receiver id.
 _INJ_FIELD = _FIELD_MASK << _S_INJ
 _DELIVER_KEY = (1 << (3 * _FIELD_BITS)) - 1
-
-logger = logging.getLogger(__name__)
-
-# Checkpoint container: MAGIC + 8-byte big-endian payload length +
-# 16-byte blake2b digest of the payload + the pickled payload.  The
-# header lets a reader distinguish a torn/corrupted file (partial
-# write, disk damage) from a well-formed checkpoint it merely cannot
-# use -- the former is logged and treated as a cold start.
-_CKPT_MAGIC = b"RXCK1\n"
-_CKPT_LEN_BYTES = 8
-_CKPT_DIGEST_BYTES = 16
-_CKPT_HEADER_BYTES = (
-    len(_CKPT_MAGIC) + _CKPT_LEN_BYTES + _CKPT_DIGEST_BYTES
-)
 
 
 # ----------------------------------------------------------------------
@@ -251,17 +207,6 @@ class _DigestSearch(_InternedSearch):
             sum(value_dg[m] for m in self.set_members[set_id]) % _DIGEST_MOD
         )
 
-    def rebuild_digests(self) -> None:
-        """Recompute every digest table after a checkpoint restore."""
-        self.sender_dg = [_stable_digest(k) for k in self.sender_keys]
-        self.receiver_dg = [_stable_digest(k) for k in self.receiver_keys]
-        self.value_dg = [_stable_digest(v) for v in self.values]
-        value_dg = self.value_dg
-        self.set_dg = [
-            sum(value_dg[m] for m in members) % _DIGEST_MOD
-            for members in self.set_members
-        ]
-
 
 # ----------------------------------------------------------------------
 # The search
@@ -271,26 +216,20 @@ class _BFS:
     """All mutable state of one level-synchronous search.
 
     The coordinator (:func:`_run_search`) stages the seed
-    (:meth:`stage_seed`) or a checkpoint (:meth:`restore`) and adopts
-    it (:meth:`adopt`); then either :meth:`run_levels` runs the
-    remaining levels, or :meth:`expand` and :meth:`adopt` alternate
-    once per level.  :meth:`finish` collects the results;
-    :meth:`snapshot` and :meth:`resolve` serve checkpoints and path
-    reconstruction.
+    (:meth:`stage_seed`) and adopts it (:meth:`adopt`); then either
+    :meth:`run_levels` runs the remaining levels, or :meth:`expand`
+    and :meth:`adopt` alternate once per level.  :meth:`finish`
+    collects the results; :meth:`resolve` serves path reconstruction.
 
     ``prop`` is a checker property, or ``None`` for exploration;
     ``del_cap`` is the saturating delivered field (``0`` when off);
-    ``capacity`` bounds the channel value sets (``None`` when off);
-    ``store`` is ``"memory"`` or ``"disk"``, the latter under
-    ``store_dir``.
+    ``capacity`` bounds the channel value sets (``None`` when off).
     """
 
     def __init__(self, sender: IOAutomaton, receiver: IOAutomaton,
                  alphabet: List[Hashable], max_messages: int, *,
                  prop: Any = None, track_parents: bool = False,
-                 del_cap: int = 0, capacity: Optional[int] = None,
-                 store: str = "memory",
-                 store_dir: Optional[str] = None) -> None:
+                 del_cap: int = 0, capacity: Optional[int] = None) -> None:
         self.max_messages = max_messages
         self.track_parents = track_parents
         self.del_cap = del_cap
@@ -311,7 +250,7 @@ class _BFS:
             self.scan = prop.bind(
                 BindContext(self.search, max_messages, alphabet, del_cap)
             )
-        self.seen: Any = set()
+        self.seen: set = set()
         self.frontier: List[int] = []
         self.pending: List[int] = []
         self.visited = 0
@@ -319,9 +258,6 @@ class _BFS:
         self.pruned = 0
         self.hits_found = 0
         self.scanned = 0
-        # Expanded sender/receiver ids and sent value ids carried over
-        # from a checkpoint (see _expanded_ids).
-        self.restored_ids: Tuple[Set[int], ...] = (set(), set(), set(), set())
         # cfg -> (parent digest, move, arg rank, label), None for seed
         self.parents: Dict[int, Optional[Tuple]] = {}
         self.by_digest: Dict[int, int] = {}
@@ -333,21 +269,6 @@ class _BFS:
         self.output_memo: Dict[int, Optional[int]] = {}
         self.deliver_memo: Dict[int, Tuple[int, ...]] = {}
         self.ack_memo: Dict[int, Tuple[int, ...]] = {}
-        self.store_kind = store
-        self.store_dir = store_dir
-        self.level_log: Any = None
-        if store == "disk":
-            self._attach_disk_store(seed=None)
-
-    def _attach_disk_store(self, seed: Optional[Iterable[int]]) -> None:
-        from repro.checker.store import DiskVisitedStore, LevelLog
-
-        store = DiskVisitedStore(os.path.join(self.store_dir, "visited"))
-        if seed is not None:
-            for cfg in seed:  # distinct by construction: no membership test
-                store.add(cfg)
-        self.seen = store
-        self.level_log = LevelLog(os.path.join(self.store_dir, "levels"))
 
     # -- config plumbing -----------------------------------------------
     def _config_digest(self, cfg: int) -> int:
@@ -394,10 +315,8 @@ class _BFS:
             injected, delivered,
         )
 
-    def _scan(self, level: int, frontier: List[int]) -> List[Tuple]:
-        """Log and scan a newly adopted level; its hit reports."""
-        if self.level_log is not None:
-            self.level_log.append(level, frontier)
+    def _scan(self, frontier: List[int]) -> List[Tuple]:
+        """Scan a newly adopted level; its hit reports."""
         if self.scan is None:
             return []
         self.scanned += len(frontier)
@@ -427,7 +346,7 @@ class _BFS:
         if self.track_parents:
             self.level_parents[cfg] = None
 
-    def adopt(self, level: int) -> List[Tuple]:
+    def adopt(self) -> List[Tuple]:
         """Make the staged level the frontier and scan it.
 
         The adopted frontier is exactly the set of configurations
@@ -445,7 +364,7 @@ class _BFS:
                 parents[cfg] = meta
                 by_digest[self._config_digest(cfg)] = cfg
             level_parents.clear()
-        return self._scan(level, frontier)
+        return self._scan(frontier)
 
     def expand(self) -> int:
         """Expand the frontier level, proposing parents; returns its size.
@@ -560,19 +479,18 @@ class _BFS:
         self.frontier = []
         return expanded
 
-    def run_levels(self, max_configurations: int, checkpoint_every: int,
-                   save, base_level: int, exact: bool) -> Dict[str, Any]:
+    def run_levels(self, max_configurations: int,
+                   exact: bool) -> Dict[str, Any]:
         """The tight loop: many levels per call, no parent tracking.
 
         Without parents a successor needs no proposal, so each one
         costs a delta addition and a membership test, and the loop
         runs level after level without returning to the coordinator.
-        Every barrier -- property scan, budget truncation, checkpoint
-        cadence, hit stop -- happens at exactly the level boundaries
-        of :meth:`expand`'s coordinator loop, so verdicts, counts and
-        checkpoints are identical.  Capacity pruning checks only the
-        set a move can grow: injections and sender deliveries keep
-        both channel sets.
+        Every barrier -- property scan, budget truncation, hit stop --
+        happens at exactly the level boundaries of :meth:`expand`'s
+        coordinator loop, so verdicts and counts are identical.
+        Capacity pruning checks only the set a move can grow:
+        injections and sender deliveries keep both channel sets.
 
         The entry frontier must already be adopted (and therefore
         scanned) by :meth:`adopt`; the caller handles a hit there
@@ -580,13 +498,6 @@ class _BFS:
 
         Args:
             max_configurations: visit budget.
-            checkpoint_every: cadence in levels; meaningful only with
-                ``save``.
-            save: ``save(session_level, is_complete)`` callback,
-                invoked at barriers with the counters flushed
-                and ``self.frontier`` staged; ``None`` disables.
-            base_level: absolute level of the entry frontier (for the
-                disk level log; checkpoint levels are the caller's).
             exact: cut inside the level that would overrun the budget
                 (the BFS-FIFO cut) instead of at its barrier.
         """
@@ -600,7 +511,7 @@ class _BFS:
         deliver_mask = self.deliver_mask
         capacity = self.capacity
         set_members = search.set_members
-        scanning = self.scan is not None or self.level_log is not None
+        scanning = self.scan is not None
         inject_memo = self.inject_memo
         output_memo = self.output_memo
         deliver_memo = self.deliver_memo
@@ -636,13 +547,6 @@ class _BFS:
                 if visited >= max_configurations:
                     truncated = True
                     break
-                if (
-                    save is not None
-                    and level > 0
-                    and level % checkpoint_every == 0
-                ):
-                    flush(queue)
-                    save(level, False)
                 if exact and visited + len(queue) > max_configurations:
                     rest = queue[max_configurations - visited:]
                     queue = queue[:max_configurations - visited]
@@ -734,7 +638,7 @@ class _BFS:
                     break
                 queue = next_queue
                 if scanning:
-                    hits = self._scan(base_level + level, queue)
+                    hits = self._scan(queue)
                     if hits:
                         break
         except ExplorationCapacityError as exc:
@@ -743,16 +647,12 @@ class _BFS:
             # accounting reads the flushed counters.
             flush(queue[visited - level_start:] + rest + next_queue)
             if exc.levels_completed is None:
-                exc.levels_completed = base_level + level
+                exc.levels_completed = level
             if exc.configurations_seen is None:
                 exc.configurations_seen = visited
             raise
 
         flush(queue)
-        if save is not None:
-            # Stop barriers checkpoint too; a hit frontier is staged
-            # so a resumed run re-adopts and re-scans it.
-            save(level, complete)
         return {
             "levels": level,
             "visited": visited,
@@ -774,92 +674,9 @@ class _BFS:
             return self._portable(cfg), None, None
         return self._portable(cfg), meta[0], meta[3]
 
-    # -- checkpointing -------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Dump of the search (taken at a level barrier)."""
-        s = self.search
-        return {
-            "sender_keys": list(s.sender_keys),
-            "sender_snaps": list(s.sender_snaps),
-            "receiver_keys": list(s.receiver_keys),
-            "receiver_snaps": list(s.receiver_snaps),
-            "values": list(s.values),
-            "set_members": list(s.set_members),
-            "seen": set(self.seen),
-            "frontier": list(self.frontier),
-            "visited": self.visited,
-            "dup_skipped": self.dup_skipped,
-            "pruned": self.pruned,
-            "hits_found": self.hits_found,
-            "scanned": self.scanned,
-            "memo_hits": s.memo_hits,
-            "memo_misses": s.memo_misses,
-            "parents": dict(self.parents),
-            "by_digest": dict(self.by_digest),
-            "expanded_ids": self._expanded_ids(),
-        }
-
-    def restore(self, dump: Dict[str, Any]) -> None:
-        s = self.search
-        s.sender_keys = list(dump["sender_keys"])
-        s.sender_snaps = list(dump["sender_snaps"])
-        s.sender_ids = {key: i for i, key in enumerate(s.sender_keys)}
-        s.receiver_keys = list(dump["receiver_keys"])
-        s.receiver_snaps = list(dump["receiver_snaps"])
-        s.receiver_ids = {key: i for i, key in enumerate(s.receiver_keys)}
-        s.values = list(dump["values"])
-        s.value_ids = {value: i for i, value in enumerate(s.values)}
-        s.value_id_by_objid = {}
-        s._value_refs = []
-        s.set_members = list(dump["set_members"])
-        s.set_ids = {members: i for i, members in enumerate(s.set_members)}
-        s.set_extend = {}
-        s.ready_memo = {}
-        s.msg_memo = {}
-        s.out_memo = {}
-        s.sender_rcv_memo = {}
-        s.receiver_rcv_memo = {}
-        s.memo_hits = dump["memo_hits"]
-        s.memo_misses = dump["memo_misses"]
-        if self.track_parents:
-            s.rebuild_digests()
-        self.seen = set(dump["seen"])
-        if self.store_kind == "disk":
-            # The checkpoint materialises the full seen-set; rebuild a
-            # fresh disk store from it (store directories are scratch
-            # space, not caches -- see repro.checker.store).
-            self._attach_disk_store(seed=self.seen)
-        # The dumped frontier was adopted but not expanded; stage it as
-        # pending so the next adopt barrier swaps it back in.
-        self.pending = list(dump["frontier"])
-        self.frontier = []
-        self.visited = dump["visited"]
-        self.dup_skipped = dump["dup_skipped"]
-        self.pruned = dump["pruned"]
-        self.hits_found = dump["hits_found"]
-        self.scanned = dump["scanned"]
-        self.parents = dict(dump["parents"])
-        self.by_digest = dict(dump["by_digest"])
-        self.restored_ids = dump["expanded_ids"]
-        self.level_parents = {}
-        self.inject_memo = {}
-        self.output_memo = {}
-        self.deliver_memo = {}
-        self.ack_memo = {}
-
     # -- results -------------------------------------------------------
     def finish(self, states: bool) -> Dict[str, Any]:
         s = self.search
-        if self.level_log is not None:
-            self.level_log.flush()
-        if self.store_kind == "disk":
-            self.seen.flush()
-            store_stats = self.seen.stats()
-        else:
-            store_stats = {
-                "backend": "memory",
-                "configurations": len(self.seen),
-            }
         stats = {
             "visited": self.visited,
             "seen": len(self.seen),
@@ -873,13 +690,12 @@ class _BFS:
             "interned_receiver_states": len(s.receiver_keys),
             "interned_packet_values": len(s.values),
             "interned_value_sets": len(s.set_members),
-            "store": store_stats,
         }
         if states:
             stats.update(self._states())
         return stats
 
-    def _expanded_ids(self) -> Tuple[Set[int], ...]:
+    def _expanded_ids(self) -> Tuple[set, ...]:
         """Ids the expanded configurations touched, read off the memos.
 
         Every expanded configuration looks up its sender's output, so
@@ -888,19 +704,17 @@ class _BFS:
         on deliveries, which need a nonempty t->r set; so the expanded
         receiver ids are the keys of ``receiver_rcv_memo`` plus the
         seed's (id 0: the seed is interned first), and its transitions
-        hold every value sent r->t.  The memos restart empty after a
-        restore, so checkpoints carry these sets.
+        hold every value sent r->t.
         """
         out_memo = self.search.out_memo
         rcv_memo = self.search.receiver_rcv_memo
-        sids, rids, t2r, r2t = self.restored_ids
         seed_rid = {0} if self.visited else set()
         return (
-            sids | out_memo.keys(),
-            rids | seed_rid | {rid for rid, _vid in rcv_memo},
-            t2r | {sent[1] for sent in out_memo.values() if sent is not None},
-            r2t | {vid for _rid, emitted, _count in rcv_memo.values()
-                   for vid in emitted},
+            set(out_memo),
+            seed_rid | {rid for rid, _vid in rcv_memo},
+            {sent[1] for sent in out_memo.values() if sent is not None},
+            {vid for _rid, emitted, _count in rcv_memo.values()
+             for vid in emitted},
         )
 
     def _states(self) -> Dict[str, Any]:
@@ -925,145 +739,6 @@ class _BFS:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint files
-# ----------------------------------------------------------------------
-
-def checkpoint_key(sender: IOAutomaton, receiver: IOAutomaton,
-                   alphabet: List[Hashable], max_messages: int,
-                   prop_spec: Optional[str] = None,
-                   track_parents: bool = False, del_cap: int = 0,
-                   capacity: Optional[int] = None,
-                   store: str = "memory") -> str:
-    """Content key of a checkpoint: everything that shapes the search
-    except the budget (so budgets are incremental), salted with
-    :data:`KERNEL_VERSION` and the source digest.  Exploration is the
-    search with no property and the defaults."""
-    from repro.runtime.cache import code_version
-
-    material = (
-        CHECKPOINT_FORMAT,
-        KERNEL_VERSION,
-        code_version(),
-        type(sender).__module__, type(sender).__qualname__,
-        type(receiver).__module__, type(receiver).__qualname__,
-        sender.protocol_state(), receiver.protocol_state(),
-        tuple(alphabet), max_messages,
-        prop_spec, track_parents, del_cap, capacity, store,
-    )
-    blob = pickle.dumps(_canon(material), protocol=4)
-    return hashlib.sha256(blob).hexdigest()[:32]
-
-
-def checkpoint_path(checkpoint_dir: str, key: str) -> str:
-    return os.path.join(checkpoint_dir, f"{key}.ckpt")
-
-
-def default_checkpoint_dir(kind: str) -> str:
-    """``<result cache dir>/<kind>``: ``exploration`` or ``checker``."""
-    from repro.runtime.cache import default_cache_dir
-
-    return os.path.join(default_cache_dir(), kind)
-
-
-def _save_checkpoint(path: str, payload: Dict[str, Any]) -> None:
-    """Atomic write: a reader never sees a torn checkpoint.
-
-    The file is the self-validating container described at
-    ``_CKPT_MAGIC``; ``os.replace`` makes the swap atomic and the
-    length/digest header makes any partial or damaged file detectable
-    on read.
-    """
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    blob = pickle.dumps(payload, protocol=4)
-    digest = hashlib.blake2b(blob, digest_size=_CKPT_DIGEST_BYTES).digest()
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(_CKPT_MAGIC)
-            handle.write(len(blob).to_bytes(_CKPT_LEN_BYTES, "big"))
-            handle.write(digest)
-            handle.write(blob)
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
-def _read_checkpoint_blob(path: str) -> Optional[bytes]:
-    """Read and validate a checkpoint container.
-
-    Returns the pickled payload bytes, or ``None`` -- with a logged
-    warning -- when the file is unreadable, torn or corrupt.  Callers
-    treat ``None`` as a cold start.
-    """
-    try:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-    except OSError as exc:
-        logger.warning("checkpoint %s unreadable (%s); cold start",
-                       path, exc)
-        return None
-    if len(raw) < _CKPT_HEADER_BYTES:
-        logger.warning(
-            "checkpoint %s truncated (%d bytes, header needs %d); "
-            "cold start", path, len(raw), _CKPT_HEADER_BYTES,
-        )
-        return None
-    if not raw.startswith(_CKPT_MAGIC):
-        logger.warning(
-            "checkpoint %s has no container header (old format or "
-            "foreign file); cold start", path,
-        )
-        return None
-    offset = len(_CKPT_MAGIC)
-    length = int.from_bytes(raw[offset:offset + _CKPT_LEN_BYTES], "big")
-    offset += _CKPT_LEN_BYTES
-    digest = raw[offset:offset + _CKPT_DIGEST_BYTES]
-    blob = raw[_CKPT_HEADER_BYTES:]
-    if len(blob) != length:
-        logger.warning(
-            "checkpoint %s truncated (%d payload bytes, header claims "
-            "%d); cold start", path, len(blob), length,
-        )
-        return None
-    actual = hashlib.blake2b(blob, digest_size=_CKPT_DIGEST_BYTES).digest()
-    if actual != digest:
-        logger.warning(
-            "checkpoint %s failed its content digest (corrupt); "
-            "cold start", path,
-        )
-        return None
-    return blob
-
-
-def _load_checkpoint(path: str, key: str) -> Optional[Dict[str, Any]]:
-    blob = _read_checkpoint_blob(path)
-    if blob is None:
-        return None
-    try:
-        payload = pickle.loads(blob)
-    except (pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError, ValueError) as exc:
-        logger.warning("checkpoint %s failed to unpickle (%s); cold start",
-                       path, exc)
-        return None
-    # A digest-valid file that simply belongs to a different search
-    # (format bump, other parameters) is not corruption; skip it
-    # silently.
-    if not isinstance(payload, dict):
-        return None
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        return None
-    if payload.get("key") != key:
-        return None
-    return payload
-
-
-# ----------------------------------------------------------------------
 # The coordinator
 # ----------------------------------------------------------------------
 
@@ -1078,21 +753,14 @@ def _run_search(
     track_parents: bool = False,
     del_cap: int = 0,
     capacity: Optional[int] = None,
-    store: str = "memory",
-    store_dir: Optional[str] = None,
-    checkpoint_every: int = 0,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = True,
     states: bool = False,
     exact: bool = False,
 ) -> Dict[str, Any]:
     """One complete level-synchronous search.
 
     ``prop`` is a checker property or ``None`` (exploration);
-    ``checkpoint_dir`` enables checkpointing (callers resolve its
-    default); ``states`` asks for the exploration outputs; ``exact``
-    selects the BFS-FIFO cut, for searches without parents or
-    checkpoints only.
+    ``states`` asks for the exploration outputs; ``exact`` selects the
+    BFS-FIFO cut, for searches without parents only.
 
     Returns a dict with the verdict ingredients: ``complete`` /
     ``truncated`` flags, the canonical ``target`` (minimum
@@ -1104,127 +772,42 @@ def _run_search(
     intern table overflows.
     """
     for name, value in (("max_messages", max_messages),
-                        ("max_configurations", max_configurations),
-                        ("checkpoint_every", checkpoint_every)):
+                        ("max_configurations", max_configurations)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
     if capacity is not None and capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
     started = time.perf_counter()
 
-    checkpointing = checkpoint_dir is not None
-    key = ""
-    if checkpointing or (store == "disk" and store_dir is None):
-        key = checkpoint_key(
-            sender, receiver, alphabet, max_messages,
-            None if prop is None else prop.spec(), track_parents, del_cap,
-            capacity, store,
-        )
-    if store == "disk" and store_dir is None:
-        store_dir = os.path.join(default_checkpoint_dir("checker"),
-                                 "store", key)
-    ckpt_path = (
-        "" if checkpoint_dir is None else checkpoint_path(checkpoint_dir, key)
-    )
-    if checkpointing and checkpoint_every == 0:
-        checkpoint_every = 16
-
-    state: Optional[Dict[str, Any]] = None
-    resumed_from = None
-    if checkpointing and resume and os.path.exists(ckpt_path):
-        state = _load_checkpoint(ckpt_path, key)
-        if state is not None:
-            resumed_from = {
-                "level": state["level"],
-                "visited": state["visited"],
-                "complete": state["complete"],
-            }
-
     bfs = _BFS(
         sender, receiver, alphabet, max_messages, prop=prop,
         track_parents=track_parents, del_cap=del_cap, capacity=capacity,
-        store=store, store_dir=store_dir,
     )
-    checkpoints_written = 0
-
-    def write_checkpoint(at_level: int, visited: int,
-                         is_complete: bool) -> None:
-        nonlocal checkpoints_written
-        _save_checkpoint(ckpt_path, {
-            "format": CHECKPOINT_FORMAT,
-            "key": key,
-            "level": at_level,
-            "visited": visited,
-            "complete": is_complete,
-            "dump": bfs.snapshot(),
-        })
-        checkpoints_written += 1
-
     level = 0
-    visited_total = 0
-    levels_this_session = 0
+    visited = 0
     complete = False
     truncated = False
     try:
-        if state is not None:
-            bfs.restore(state["dump"])
-            level = state["level"]
-            visited_total = state["visited"]
-        else:
-            bfs.stage_seed()
-        session_base = visited_total
-
-        hit_reports = bfs.adopt(level)
-        if hit_reports:
-            # The seed/restored frontier already hits.  The checkpoint
-            # stages the hit frontier, so a resumed run re-adopts and
-            # re-scans it -- the hit (and the verdict) reproduce.
-            if checkpointing:
-                write_checkpoint(level, visited_total, False)
-        elif track_parents:
-            while True:
+        bfs.stage_seed()
+        hit_reports = bfs.adopt()
+        if track_parents:
+            # Stop at the first hit barrier, the seed's included.
+            while not hit_reports:
                 if not bfs.frontier:
                     complete = True
-                    if checkpointing:
-                        write_checkpoint(level, visited_total, True)
                     break
-                if visited_total >= max_configurations:
+                if visited >= max_configurations:
                     truncated = True
-                    if checkpointing:
-                        write_checkpoint(level, visited_total, False)
                     break
-                if (
-                    checkpointing
-                    and levels_this_session > 0
-                    and levels_this_session % checkpoint_every == 0
-                ):
-                    write_checkpoint(level, visited_total, False)
-                visited_total += bfs.expand()
+                visited += bfs.expand()
                 level += 1
-                levels_this_session += 1
-                hit_reports = bfs.adopt(level)
-                if hit_reports:
-                    # Stop at the first hit barrier, staged as above.
-                    if checkpointing:
-                        write_checkpoint(level, visited_total, False)
-                    break
-        else:
-            base_level = level
-            save = None
-            if checkpointing:
-                def save(session_level: int, is_complete: bool) -> None:
-                    write_checkpoint(base_level + session_level,
-                                     bfs.visited, is_complete)
-
-            stats = bfs.run_levels(
-                max_configurations, checkpoint_every, save, base_level,
-                exact,
-            )
+                hit_reports = bfs.adopt()
+        elif not hit_reports:
+            stats = bfs.run_levels(max_configurations, exact)
             complete = stats["complete"]
             truncated = stats["truncated"]
-            visited_total = stats["visited"]
-            levels_this_session = stats["levels"]
-            level = base_level + levels_this_session
+            visited = stats["visited"]
+            level = stats["levels"]
             hit_reports = stats["hits"]
 
         target = None
@@ -1249,7 +832,7 @@ def _run_search(
         if error.levels_completed is None:
             error.levels_completed = level
         if error.configurations_seen is None:
-            error.configurations_seen = visited_total
+            error.configurations_seen = visited
         if states:
             error.partial = _exploration_result(bfs.finish(True),
                                                 truncated=True)
@@ -1261,8 +844,7 @@ def _run_search(
         "complete": complete,
         "truncated": truncated,
         "level": level,
-        "visited": visited_total,
-        "session_visited": visited_total - session_base,
+        "visited": visited,
         "hit_reports": hit_reports,
         "target": target,
         "path": path,
@@ -1271,13 +853,7 @@ def _run_search(
         "engine": {
             "name": "level-sync",
             "levels": level,
-            "levels_this_session": levels_this_session,
-            "session_configurations": visited_total - session_base,
-            "store": store,
             "track_parents": track_parents,
-            "checkpointing": checkpointing,
-            "checkpoints_written": checkpoints_written,
-            "resumed_from": resumed_from,
         },
     }
 
@@ -1306,22 +882,14 @@ def _explore(
     *,
     max_messages: int,
     max_configurations: int,
-    checkpoint_every: int,
-    checkpoint_dir: Optional[str],
-    resume: bool,
     exact: bool,
 ) -> ExplorationResult:
     """Exploration: the search with no property, plus its outputs."""
     started = time.perf_counter()
-    if checkpoint_every > 0 and checkpoint_dir is None:
-        checkpoint_dir = default_checkpoint_dir("exploration")
     outcome = _run_search(
         sender, receiver, list(message_alphabet), None,
         max_messages=max_messages,
         max_configurations=max_configurations,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
         states=True,
         exact=exact,
     )
@@ -1330,9 +898,7 @@ def _explore(
     elapsed = time.perf_counter() - started
     result.perf = {
         "elapsed_s": round(elapsed, 6),
-        "configs_per_sec": configs_per_sec(
-            outcome["session_visited"], elapsed
-        ),
+        "configs_per_sec": configs_per_sec(outcome["visited"], elapsed),
         **{
             name: finish[key]
             for name, key in (
@@ -1356,11 +922,8 @@ def explore_station_states_parallel(
     message_alphabet: Iterable[Hashable],
     max_messages: int = 2,
     max_configurations: int = 200_000,
-    checkpoint_every: int = 0,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = True,
 ) -> ExplorationResult:
-    """Level-barrier exploration with optional checkpoint/resume.
+    """Exploration cut at the level barrier past the budget.
 
     Args:
         sender: the transmitting-station automaton ``A^t``.
@@ -1369,20 +932,10 @@ def explore_station_states_parallel(
         max_messages: injection budget along any explored path.
         max_configurations: visit budget, enforced at level barriers
             (a truncated run may overshoot by up to one level).
-        checkpoint_every: snapshot cadence in levels (``> 0`` enables
-            checkpointing; ``checkpoint_dir`` alone enables it with a
-            default cadence of 16 levels).  Termination -- complete or
-            truncated -- always writes a final checkpoint when
-            enabled.
-        checkpoint_dir: checkpoint directory; defaults to
-            ``<cache dir>/exploration``.
-        resume: load a matching checkpoint before starting.
 
     Returns:
         An :class:`ExplorationResult`.  ``perf["engine"]`` records the
-        level count, the store and the checkpoint activity.  On a
-        resumed run ``configurations`` is the cumulative total and
-        ``configs_per_sec`` covers only this session's work.
+        level count.
     """
     return _explore(
         sender,
@@ -1390,8 +943,5 @@ def explore_station_states_parallel(
         message_alphabet,
         max_messages=max_messages,
         max_configurations=max_configurations,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
         exact=False,
     )

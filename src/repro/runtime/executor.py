@@ -18,6 +18,9 @@ one of them exactly once, in three layers:
 3. **retry** -- tasks that raised or overran are resubmitted up to
    ``retries`` more times before settling as ``failed``.  Tasks a
    replaced pool had not finished rerun without using up an attempt.
+   A dead worker fails every task in flight on its pool, so a task
+   broken beside others also gets its attempt back and from then on
+   runs alone: only a break while it runs alone is charged.
 
 Outcomes are returned in the order of the input specs regardless of
 completion order, so downstream merging is deterministic.
@@ -31,7 +34,7 @@ import math
 import os
 import time
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.runtime.progress import NullReporter
 from repro.runtime.task import (
@@ -225,6 +228,10 @@ def _run_pooled(
     # in flight with it.
     running: Dict[concurrent.futures.Future, Tuple[int, float]] = {}
     pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
+    # Tasks in flight together when a worker died: any of them may
+    # have killed it, so from then on each runs with nothing else in
+    # flight, and only a break while it runs alone is charged to it.
+    alone: Set[int] = set()
 
     def retry_or_fail(index: int, error: BaseException) -> None:
         if attempts[index] <= retries:
@@ -238,12 +245,17 @@ def _run_pooled(
                 pool = concurrent.futures.ProcessPoolExecutor(
                     max_workers=workers
                 )
-            lost = False
+            lost = broken = False
             while queue and len(running) < workers:
+                if running and (
+                    queue[0] in alone
+                    or any(index in alone for index, _ in running.values())
+                ):
+                    break
                 try:
                     future = pool.submit(runner, specs[queue[0]].to_dict())
                 except BrokenProcessPool:
-                    lost = True  # a worker died since the last wait
+                    lost = broken = True  # a worker died since the last wait
                     break
                 index = queue.popleft()
                 attempts[index] += 1
@@ -261,15 +273,19 @@ def _run_pooled(
                     ),
                     return_when=concurrent.futures.FIRST_COMPLETED,
                 )
+            shared = len(running) > 1
             for future in [f for f in running if f.done()]:
-                index, _ = running.pop(future)
                 error = future.exception()
+                if isinstance(error, BrokenProcessPool):
+                    lost = broken = True
+                    if shared:
+                        continue  # not known to be the culprit: see below
+                index, _ = running.pop(future)
                 if error is None:
                     settle(index, _outcome_ok(
                         specs[index], future.result(), attempts[index]
                     ))
                 else:
-                    lost = lost or isinstance(error, BrokenProcessPool)
                     retry_or_fail(index, error)
             now = time.monotonic()
             for future, (index, deadline) in list(running.items()):
@@ -281,10 +297,12 @@ def _run_pooled(
                     lost = True
             if lost:
                 # A task overran (its worker is still busy with it) or a
-                # worker died: replace the pool.  The tasks it had not
-                # finished have not failed, so they rerun first, free of
-                # charge.
+                # worker died: replace the pool.  The tasks still held
+                # here rerun first, free of charge: they had not
+                # finished, or a worker died beside them.
                 unfinished = [index for index, _ in running.values()]
+                if broken and shared:
+                    alone.update(unfinished)
                 for index in unfinished:
                     attempts[index] -= 1
                 queue.extendleft(reversed(unfinished))

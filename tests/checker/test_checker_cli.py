@@ -3,8 +3,9 @@
 A malformed ``--system`` name, an empty ``--alphabet`` or an
 out-of-range bound is a usage error: argparse's exit code 2 with a
 message naming the argument, never a traceback and never a vacuous
-verdict.  The last test reads the spec verdict the ``--json`` output
-gives for a counterexample.
+verdict.  The last tests read the ``--json`` output: the spec verdict
+of a counterexample, and the results of the two commands
+docs/CHECKER.md documents.
 """
 
 import json
@@ -63,7 +64,6 @@ def test_negative_capacity_is_a_usage_error(capsys):
         ({"max_configurations": -5}, "max_configurations"),
         ({"capacity": 0}, "capacity"),
         ({"capacity": -1}, "capacity"),
-        ({"checkpoint_every": -1}, "checkpoint_every"),
     ],
 )
 def test_check_protocol_rejects_out_of_range_bounds(kwargs, name):
@@ -77,7 +77,6 @@ def test_check_protocol_rejects_out_of_range_bounds(kwargs, name):
     [
         ({"max_messages": -1}, "max_messages"),
         ({"max_configurations": -5}, "max_configurations"),
-        ({"checkpoint_every": -1}, "checkpoint_every"),
     ],
 )
 def test_exploration_rejects_out_of_range_bounds(kwargs, name):
@@ -93,3 +92,31 @@ def test_forgery_counterexample_reports_no_pending_messages(capsys):
     spec = json.loads(capsys.readouterr().out)["counterexample"]["spec"]
     assert [v["property"] for v in spec["violations"]] == ["DL1", "DL1/DL2"]
     assert spec["pending_messages"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv,code,verdict,configurations,levels,fingerprint",
+    [
+        (["--property", "dl1-forgery"], 0, "violated", 4, 4,
+         "38e272e504a67d87"),
+        (["--property", "type-ok", "--system", "capacity-flooding-3-2",
+          "--alphabet", "m0,m1", "--max-messages", "3",
+          "--max-configurations", "60000"],
+         2, "budget-exhausted", 60_001, 1_895, None),
+    ],
+    ids=["dl1-forgery", "type-ok-60k"],
+)
+def test_documented_commands(argv, code, verdict, configurations, levels,
+                             fingerprint, capsys):
+    """The forgery and the level-barrier cut of the two documented
+    commands: their verdict, counts and counterexample fingerprint."""
+    assert main([*argv, "--json"]) == code
+    result = json.loads(capsys.readouterr().out)
+    assert result["verdict"] == verdict
+    assert result["stats"]["configurations"] == configurations
+    assert result["stats"]["levels"] == levels
+    cex = result["counterexample"]
+    if fingerprint is None:
+        assert cex is None
+    else:
+        assert cex["fingerprint"].startswith(fingerprint)

@@ -1,6 +1,6 @@
 """Unit tests: ``check_protocol`` verdicts, budgets and options.
 
-Determinism across stores and resume has its own module
+Determinism across trace modes has its own module
 (``test_checker_determinism``); here each engine feature is exercised
 once on the cheapest system that demonstrates it.
 """
@@ -156,49 +156,3 @@ class TestCheckResult:
         document = result.to_dict()
         assert document["counterexample"] is None
         assert document["stats"]["levels"] > 0
-
-
-class TestCheckpointResume:
-    def test_resume_continues_to_same_verdict(self, tmp_path):
-        ckpt = str(tmp_path / "ckpt")
-
-        # Interrupted run: budget too small to finish, checkpointing on.
-        sender, receiver = make_sequence_protocol()
-        partial = check_protocol(
-            sender, receiver, ["m"], "dl1-forgery", max_messages=2,
-            max_configurations=4, checkpoint_every=1, checkpoint_dir=ckpt,
-        )
-        assert partial.verdict == "budget-exhausted"
-
-        # Resumed run with a real budget finishes from the checkpoint.
-        sender, receiver = make_sequence_protocol()
-        resumed = check_protocol(
-            sender, receiver, ["m"], "dl1-forgery", max_messages=2,
-            checkpoint_every=1, checkpoint_dir=ckpt,
-        )
-        assert resumed.holds
-        assert resumed.stats["engine"]["resumed_from"] is not None
-
-        # An uninterrupted reference run agrees on everything.
-        sender, receiver = make_sequence_protocol()
-        reference = check_protocol(sender, receiver, ["m"], "dl1-forgery",
-                                   max_messages=2)
-        assert resumed.verdict == reference.verdict
-        assert resumed.stats["configurations"] \
-            == reference.stats["configurations"]
-
-    def test_checkpoint_key_separates_properties(self, tmp_path):
-        from repro.ioa.exploration_parallel import checkpoint_key
-
-        sender, receiver = make_sequence_protocol()
-        kwargs = dict(
-            alphabet=["m"], max_messages=2, track_parents=False,
-            del_cap=0, capacity=None, store="memory",
-        )
-        one = checkpoint_key(
-            sender, receiver, prop_spec="type-ok", **kwargs
-        )
-        two = checkpoint_key(
-            sender, receiver, prop_spec="header-bound=2", **kwargs
-        )
-        assert one != two

@@ -1,4 +1,4 @@
-"""Unit tests: the level-barrier exploration entry and checkpoint/resume.
+"""Unit tests: the level-barrier exploration entry.
 
 The entry's contract (see :mod:`repro.ioa.exploration_parallel`):
 
@@ -7,13 +7,9 @@ The entry's contract (see :mod:`repro.ioa.exploration_parallel`):
 * truncated explorations stop at the level barrier past the budget,
   which may cover a slightly different region than the serial entry's
   exact-FIFO cut;
-* a checkpointed run resumed after an interruption finishes with
-  exactly the observables of an uninterrupted run;
-* checkpoints are salted with ``KERNEL_VERSION`` and ignore stale
-  generations.
+* an intern-table overflow keeps the progress made before it, and
+  every entry reports the same progress.
 """
-
-import os
 
 import pytest
 
@@ -24,12 +20,12 @@ from repro.datalink.gobackn import make_gobackn
 from repro.datalink.sequence import SequenceSender, make_sequence_protocol
 from repro.datalink.sequence_mod import make_modular_sequence
 from repro.ioa.actions import Direction
-from repro.ioa.exploration import configs_per_sec, explore_station_states
-from repro.ioa.exploration_parallel import (
-    checkpoint_key,
-    checkpoint_path,
-    explore_station_states_parallel,
+from repro.ioa.exploration import (
+    ExplorationCapacityError,
+    configs_per_sec,
+    explore_station_states,
 )
+from repro.ioa.exploration_parallel import explore_station_states_parallel
 
 
 def observables(result):
@@ -124,121 +120,77 @@ class TestTruncationSemantics:
         )
 
 
-class TestCheckpointResume:
-    def run_pair(self, tmp_path):
-        kwargs = dict(checkpoint_every=2, checkpoint_dir=str(tmp_path))
-        interrupted = explore_parallel(
-            make_alternating_bit, ["m"], 2,
-            max_configurations=10, **kwargs,
-        )
-        assert interrupted.truncated
-        assert interrupted.perf["engine"]["checkpoints_written"] > 0
-        resumed = explore_parallel(
-            make_alternating_bit, ["m"], 2, **kwargs,
-        )
-        return interrupted, resumed
-
-    def test_interrupt_resume_matches_fresh(self, tmp_path):
-        interrupted, resumed = self.run_pair(tmp_path)
-        engine = resumed.perf["engine"]
-        assert engine["resumed_from"] is not None
-        assert engine["resumed_from"]["visited"] == (
-            interrupted.configurations
-        )
-        fresh = explore_serial(make_alternating_bit, ["m"], 2)
-        assert observables(resumed) == observables(fresh)
-
-    def test_checkpoint_file_written_under_dir(self, tmp_path):
-        explore_parallel(
-            make_alternating_bit, ["m"], 2, checkpoint_dir=str(tmp_path),
-        )
-        names = os.listdir(tmp_path)
-        assert len(names) == 1
-        assert names[0].endswith(".ckpt")
-
-    def test_resume_false_ignores_checkpoint(self, tmp_path):
-        self.run_pair(tmp_path)
-        fresh = explore_parallel(
-            make_alternating_bit, ["m"], 2,
-            max_configurations=10,
-            checkpoint_dir=str(tmp_path), resume=False,
-        )
-        assert fresh.perf["engine"]["resumed_from"] is None
-        assert fresh.truncated
-        # Starting over, the budget allows at most one extra level past
-        # the cap -- nowhere near the finished search a resume reaches.
-        assert fresh.configurations >= 10
-
-    def test_completed_checkpoint_resumes_to_same_result(self, tmp_path):
-        first = explore_parallel(
-            make_alternating_bit, ["m"], 2, checkpoint_dir=str(tmp_path),
-        )
-        assert not first.truncated
-        again = explore_parallel(
-            make_alternating_bit, ["m"], 2, checkpoint_dir=str(tmp_path),
-        )
-        assert again.perf["engine"]["resumed_from"] is not None
-        assert again.perf["engine"]["session_configurations"] == 0
-        assert observables(again) == observables(first)
-
+class TestEngineRecord:
     def test_engine_metadata_recorded(self):
         result = explore_parallel(make_alternating_bit, ["m"], 3)
         engine = result.perf["engine"]
+        assert set(engine) == {"name", "levels", "track_parents"}
         assert engine["name"] == "level-sync"
         assert engine["levels"] > 0
-        assert engine["store"] == "memory"
-        assert not engine["checkpointing"]
-        assert engine["checkpoints_written"] == 0
-        assert engine["resumed_from"] is None
+        assert engine["track_parents"] is False
 
 
-class TestCheckpointHygiene:
-    """Checkpoints are salted exactly like cached results."""
+class TestCapacityPartials:
+    """:class:`ExplorationCapacityError` carries the partial result
+    (levels completed, configurations seen) on both exploration
+    entries, and every entry -- serial exploration, the level-barrier
+    entry, the checker -- reports the same progress."""
 
-    def test_key_distinguishes_identity(self):
-        sender, receiver = make_alternating_bit()
-        base = checkpoint_key(sender, receiver, ["m"], 2)
-        assert checkpoint_key(sender, receiver, ["m"], 3) != base
-        assert checkpoint_key(sender, receiver, ["m", "n"], 2) != base
-        other_s, other_r = make_sequence_protocol()
-        assert checkpoint_key(other_s, other_r, ["m"], 2) != base
-        assert checkpoint_key(sender, receiver, ["m"], 2) == base
+    def test_serial_kernel_attaches_partial(self, monkeypatch):
+        import repro.ioa.exploration as exploration
 
-    def test_kernel_version_bump_invalidates(self, tmp_path, monkeypatch):
-        """A checkpoint written before a KERNEL_VERSION bump must not
-        be resumed after it, even though the code digest is unchanged."""
-        from repro.ioa import exploration_parallel as xp
+        monkeypatch.setattr(exploration, "_FIELD_MASK", 3)
+        sender, receiver = make_sequence_protocol()
+        with pytest.raises(ExplorationCapacityError) as excinfo:
+            explore_station_states(sender, receiver, ["m"], max_messages=3)
+        err = excinfo.value
+        assert err.partial is not None
+        assert err.partial.truncated is True
+        assert err.partial.configurations >= 1
+        assert err.configurations_seen == err.partial.configurations
+        assert err.levels_completed >= 1
 
-        kwargs = dict(checkpoint_every=2, checkpoint_dir=str(tmp_path))
-        explore_parallel(
-            make_alternating_bit, ["m"], 2,
-            max_configurations=10, **kwargs,
-        )
-        monkeypatch.setattr(
-            xp, "KERNEL_VERSION", xp.KERNEL_VERSION + ".bumped"
-        )
-        resumed = explore_station_states_parallel(
-            *make_alternating_bit(), ["m"], max_messages=2, **kwargs
-        )
-        assert resumed.perf["engine"]["resumed_from"] is None
-        assert observables(resumed) == observables(
-            explore_serial(make_alternating_bit, ["m"], 2)
-        )
+    def test_parallel_engine_attaches_partial(self, monkeypatch):
+        import repro.ioa.exploration as exploration
 
-    def test_corrupt_checkpoint_degrades_to_fresh(self, tmp_path):
-        sender, receiver = make_alternating_bit()
-        key = checkpoint_key(sender, receiver, ["m"], 2)
-        path = checkpoint_path(str(tmp_path), key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
-        result = explore_parallel(
-            make_alternating_bit, ["m"], 2, checkpoint_dir=str(tmp_path),
+        monkeypatch.setattr(exploration, "_FIELD_MASK", 3)
+        sender, receiver = make_sequence_protocol()
+        with pytest.raises(ExplorationCapacityError) as excinfo:
+            explore_station_states_parallel(
+                sender, receiver, ["m"], max_messages=3
+            )
+        err = excinfo.value
+        assert err.partial is not None
+        assert err.partial.truncated is True
+        assert err.levels_completed is not None
+        assert err.levels_completed >= 1
+        assert err.configurations_seen >= 1
+        assert err.configurations_seen == err.partial.configurations
+        assert len(err.partial.sender_states) >= 1
+
+    def test_single_shard_entries_report_equal_progress(self, monkeypatch):
+        import repro.ioa.exploration as exploration
+        from repro.checker import check_protocol
+
+        monkeypatch.setattr(exploration, "_FIELD_MASK", 3)
+        progress = []
+        for explore in (
+            explore_station_states,
+            explore_station_states_parallel,
+        ):
+            with pytest.raises(ExplorationCapacityError) as excinfo:
+                explore(*make_sequence_protocol(), ["m"], max_messages=3)
+            err = excinfo.value
+            progress.append((err.levels_completed, err.configurations_seen))
+        checked = check_protocol(
+            *make_sequence_protocol(), ["m"], "type-ok", max_messages=3
         )
-        assert result.perf["engine"]["resumed_from"] is None
-        assert observables(result) == observables(
-            explore_serial(make_alternating_bit, ["m"], 2)
+        assert checked.verdict == "budget-exhausted"
+        progress.append(
+            (checked.stats["levels"], checked.stats["configurations"])
         )
+        assert progress[0][1] >= 1
+        assert progress == [progress[0]] * 3
 
 
 class TestConfigsPerSec:

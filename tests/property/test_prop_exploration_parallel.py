@@ -4,14 +4,11 @@ For random small protocols and exploration parameters, the
 level-barrier entry of :mod:`repro.ioa.exploration_parallel` promises
 the same :class:`~repro.ioa.exploration.ExplorationResult` observables
 as the serial entry -- state sets, configuration counts, the Theorem
-2.1 state product -- and across a checkpoint interruption.  Serial
-equivalence is only guaranteed when the search completes within its
-visit budget (the entries cut a truncated search at different
-granularities), so properties comparing against the serial entry
-discard truncated draws.
+2.1 state product.  Serial equivalence is only guaranteed when the
+search completes within its visit budget (the entries cut a truncated
+search at different granularities), so properties comparing against
+the serial entry discard truncated draws.
 """
-
-import tempfile
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -69,34 +66,3 @@ def test_serial_and_worker_counts_agree(protocol, alphabet, max_messages):
     )
     assert observables(parallel) == observables(serial)
 
-
-@given(
-    protocol=PROTOCOL_NAMES,
-    max_messages=BUDGETS,
-    interrupt_budget=st.integers(min_value=1, max_value=40),
-    cadence=st.integers(min_value=1, max_value=5),
-)
-@settings(max_examples=20, deadline=None)
-def test_interrupt_resume_agrees(
-    protocol, max_messages, interrupt_budget, cadence
-):
-    """A checkpointed run interrupted by a tiny visit budget and then
-    resumed finishes exactly like an uninterrupted run."""
-    factory = PROTOCOLS[protocol]
-    uninterrupted = explore_station_states_parallel(
-        *factory(), ["m"], max_messages=max_messages,
-    )
-    assume(not uninterrupted.truncated)
-    with tempfile.TemporaryDirectory() as checkpoint_dir:
-        kwargs = dict(
-            checkpoint_every=cadence,
-            checkpoint_dir=checkpoint_dir,
-        )
-        explore_station_states_parallel(
-            *factory(), ["m"], max_messages=max_messages,
-            max_configurations=interrupt_budget, **kwargs,
-        )
-        resumed = explore_station_states_parallel(
-            *factory(), ["m"], max_messages=max_messages, **kwargs,
-        )
-    assert observables(resumed) == observables(uninterrupted)

@@ -66,9 +66,12 @@ def first_shard_sleeps(spec_dict):
 
 
 def first_shard_dies(spec_dict):
-    """Pool-safe: shard s0 kills its worker process, the rest echo."""
+    """Pool-safe: shard s0 kills its worker process after 0.2 s, while
+    the other shards sleep 0.3 s and echo."""
     if spec_dict["shard"] == "s0":
+        time.sleep(0.2)
         os._exit(1)
+    time.sleep(0.3)
     return echo_runner(spec_dict)
 
 
@@ -170,17 +173,22 @@ def test_timeout_counts_from_submission():
     assert "TimeoutError" in outcomes[1].error
 
 
-def test_dead_worker_fails_only_its_task():
-    """A worker that dies breaks its pool; the task it ran uses up its
-    attempts, and the tasks behind it run on a fresh pool."""
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dead_worker_fails_only_its_task(workers):
+    """A worker that dies breaks its pool and every task in flight on
+    it.  Only the task that ran alone uses up its attempts; a task
+    broken beside others reruns alone, free of charge, and the tasks
+    behind them run on a fresh pool."""
+    retries = 1
     outcomes = run_tasks(
-        specs(3), workers=1, timeout=30, retries=1, runner=first_shard_dies
+        specs(4), workers=workers, timeout=30, retries=retries,
+        runner=first_shard_dies,
     )
     assert [o.status for o in outcomes] == [
-        STATUS_FAILED, STATUS_OK, STATUS_OK
+        STATUS_FAILED, STATUS_OK, STATUS_OK, STATUS_OK
     ]
     assert "BrokenProcessPool" in outcomes[0].error
-    assert [o.attempts for o in outcomes] == [2, 1, 1]
+    assert [o.attempts for o in outcomes] == [retries + 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
