@@ -1,10 +1,10 @@
-"""Benchmark: the compiled batch engines against the interpreted path.
+"""Benchmark: the batch trial engines against the interpreted path.
 
-This PR compiles stock-plumbing station pairs to dense transition
-tables (:mod:`repro.ioa.compile`) and runs whole probabilistic trials
-and pumping phases inside batched engines (:mod:`repro.core.trials`)
-that never leave integer/deque land.  Both paths are bit-identical --
-the equivalence suites pin that down -- so this bench only measures
+The batch engines (:mod:`repro.core.trials`) run whole probabilistic
+trials and pumping phases in integer/deque land: the live stations
+behind the integer kernels of :mod:`repro.ioa.compile`, the channels
+as value-id multisets.  Both paths are bit-identical -- the
+equivalence suites pin that down -- so this bench only measures
 throughput.
 
 Unlike the other bench suites, *both* sides of the comparison are

@@ -17,8 +17,8 @@ pin down what that unification costs:
   attached: the price of observing, reported as a ratio over the bare
   *interpreted* sweep (``sink_stack_overhead_x``).  Extra sinks pin
   the interpreted engine, so the ratio is taken against
-  ``counts_sweep_interp_s`` -- comparing against the compiled batch
-  path would conflate the sink cost with the engine gap, which is
+  ``counts_sweep_interp_s`` -- comparing against the batch path
+  would conflate the sink cost with the engine gap, which is
   benched separately in ``test_bench_compile.py``.
 
 ``BEFORE`` holds the timings of the identical workloads measured on

@@ -1,5 +1,5 @@
-"""Measurement post-processing: fits, statistics, tables, plots and
-execution timelines."""
+"""Measurement post-processing: fits, tables, plots and execution
+timelines."""
 
 from repro.analysis.ascii_plot import line_plot
 from repro.analysis.growth import (
@@ -10,31 +10,19 @@ from repro.analysis.growth import (
     fit_linear,
     find_crossover,
 )
-from repro.analysis.stats import (
-    Summary,
-    bootstrap_mean_ci,
-    mean,
-    stdev,
-    summarize,
-)
 from repro.analysis.tables import Table, format_float
 from repro.analysis.timeline import render_event, render_timeline
 
 __all__ = [
     "ExponentialFit",
     "LinearFit",
-    "Summary",
     "Table",
-    "bootstrap_mean_ci",
     "classify_growth",
     "find_crossover",
     "fit_exponential",
     "fit_linear",
     "format_float",
     "line_plot",
-    "mean",
     "render_event",
     "render_timeline",
-    "stdev",
-    "summarize",
 ]

@@ -112,15 +112,30 @@ def plant_backlog(
         valid configuration with the backlog planted.
 
     ``engine`` is one of :data:`~repro.core.trials.TRIAL_ENGINES`.
-    ``"auto"`` (default) runs the batched compiled pumping engine
+    ``"auto"`` (default) runs the batch pumping engine
     (:mod:`repro.core.trials`) when only counters are being recorded
-    -- it executes the same two phases in value-id space and
-    materialises an indistinguishable final configuration -- and falls
-    back to the interpreted construction for FULL traces;
-    ``"interpreted"`` forces the fallback, ``"batch"`` insists and
-    raises when unsupported.  Both tiers are bit-identical, so the
-    choice changes speed only.
+    -- it executes the same two phases on the live stations with the
+    channels in value-id space and materialises an indistinguishable
+    final configuration -- and falls back to the interpreted
+    construction for FULL traces; ``"interpreted"`` forces the
+    fallback, ``"batch"`` insists and raises when unsupported.  Both
+    tiers are bit-identical, so the choice changes speed only.
+
+    Raises:
+        ValueError: ``backlog``, ``max_messages``,
+            ``max_steps_per_message`` or ``discovery_messages`` is
+            negative, or ``engine`` is unknown (or ``"batch"`` and the
+            trace mode is not COUNTS).  ``backlog`` 0 is allowed and
+            still plants one copy per value.
     """
+    for name, count in (
+        ("backlog", backlog),
+        ("max_messages", max_messages),
+        ("max_steps_per_message", max_steps_per_message),
+        ("discovery_messages", discovery_messages),
+    ):
+        if count < 0:
+            raise ValueError(f"{name} must be non-negative, got {count}")
     if engine not in trials.TRIAL_ENGINES:
         raise ValueError(
             f"engine must be one of {trials.TRIAL_ENGINES}, got {engine!r}"
@@ -208,7 +223,7 @@ def probe_backlog_cost(
     Only counters and channel state are consumed, so the pumping runs
     in ``TraceMode.COUNTS`` (the extension itself is measured on a
     FULL-mode clone either way); under the default ``engine="auto"``
-    that selects the batched compiled pumping path.
+    that selects the batch pumping engine.
     """
     system, pool, spent = plant_backlog(
         pair_factory,
@@ -276,8 +291,8 @@ def run_dichotomy(
 ) -> BacklogDichotomy:
     """Execute the Theorem 4.1 case split at one backlog level.
 
-    Plant the backlog (via the batched compiled pumping path under the
-    default ``engine="auto"``), then: if the delivering extension costs
+    Plant the backlog (via the batch pumping engine under the default
+    ``engine="auto"``), then: if the delivering extension costs
     more than ``floor(l/k)``, the ``P_f`` bound is violated here (first
     horn of the dichotomy); otherwise attempt the replay forgery, which
     the proof shows must succeed (second horn).

@@ -119,12 +119,13 @@ def run_probabilistic_delivery(
             operational telemetry); observers only, never part of the
             reported statistics.
         engine: one of :data:`~repro.core.trials.TRIAL_ENGINES`.
-            ``"auto"`` (default) runs the batched compiled engine
-            (:mod:`repro.core.trials`) whenever the configuration is
-            within its exactness envelope and falls back to the
-            interpreted engine otherwise; ``"interpreted"`` forces the
-            fallback; ``"batch"`` insists on the batch path and raises
-            when the configuration is unsupported.  Both engines
+            ``"auto"`` (default) runs the batch engine
+            (:mod:`repro.core.trials`: the live stations behind integer
+            kernels, the channels as value-id multisets) whenever the
+            configuration is within its exactness envelope and falls
+            back to the interpreted engine otherwise; ``"interpreted"``
+            forces the fallback; ``"batch"`` insists on the batch path
+            and raises when the configuration is unsupported.  Both engines
             produce bit-identical results for the same seed.
 
     Returns:

@@ -1,4 +1,4 @@
-"""Batched trial engines over compiled station kernels.
+"""Batched trial engines over integer station kernels.
 
 The Monte Carlo sweeps (Theorem 5.1 / experiment E4) and the pumping
 drivers (Theorem 4.1 / experiment E3) spend their whole budget stepping
@@ -8,9 +8,12 @@ and the sink-stack announcement.  This module runs the *same* control
 flow -- transcribed statement-for-statement from
 :class:`~repro.datalink.system.DataLinkSystem` (``step`` /
 ``flush_mandatory`` / ``pump_receiver`` / ``pump_sender`` / ``run``)
-and :func:`~repro.core.pumping.pump_message` -- over the integer
-kernels of :mod:`repro.ioa.compile`, with channels reduced to value-id
-multisets and the Definition-2 counters kept in local integers.
+and :func:`~repro.core.pumping.pump_message` -- over the live stations,
+wrapped in the integer kernels of :mod:`repro.ioa.compile`
+(``InterpretedSender`` / ``InterpretedReceiver``), with channels
+reduced to value-id multisets and the Definition-2 counters kept in
+local integers.  Each run builds its kernels from one
+``pair_factory()`` call; nothing is shared between runs.
 
 Bit-identity is the contract, not an aspiration:
 
@@ -27,8 +30,8 @@ Bit-identity is the contract, not an aspiration:
   two-phase hoarding of :func:`~repro.core.theorem41.plant_backlog`
   are reproduced exactly, including their stopping conditions and
   error messages;
-* the pumping engine *materialises* its final configuration back into
-  a live :class:`~repro.datalink.system.DataLinkSystem` (real
+* the pumping engine hands its final configuration back as a live
+  :class:`~repro.datalink.system.DataLinkSystem` (the kernels' own
   stations, real channel bags with the same copy ids and
   ``at_index``es, an execution whose counters and distinct-packet
   sets match event-for-event), so the downstream probe machinery
@@ -51,7 +54,12 @@ from repro.channels.packets import TransitCopy
 from repro.channels.probabilistic import TricklePolicy
 from repro.core.pumping import ReservePool
 from repro.ioa.actions import Direction
-from repro.ioa.compile import CompiledPair, PoolOracle
+from repro.ioa.compile import (
+    InterpretedReceiver,
+    InterpretedSender,
+    PoolOracle,
+    ValueIntern,
+)
 from repro.ioa.execution import TraceMode
 from repro.ioa.sinks import ExecutionSink, MetricsSink
 
@@ -167,302 +175,18 @@ def pump_batch_refusal(trace_mode: TraceMode) -> Optional[str]:
     return None
 
 
-class ProbabilisticTrialEngine:
-    """Compile a station pair once, run many ``(seed, q, n)`` trials.
-
-    The compiled tables (and the value intern space) persist across
-    :meth:`run` calls, so a shard's later trials run almost entirely on
-    table hits.  Each call reproduces
-    :func:`~repro.core.theorem51.run_probabilistic_delivery`
-    bit-identically for supported configurations.
-    """
-
-    def __init__(
-        self,
-        pair_factory: Callable[[], Tuple],
-        pair: Optional[CompiledPair] = None,
-    ) -> None:
-        self.pair = pair if pair is not None else CompiledPair(pair_factory)
-
-    def run(
-        self,
-        q: float,
-        n: int,
-        seed: int = 0,
-        message: Hashable = "m",
-        max_steps: int = 2_000_000,
-        packet_budget: Optional[int] = None,
-        sinks: Optional[Sequence[ExecutionSink]] = None,
-    ):
-        """One trial; see ``run_probabilistic_delivery`` for the
-        argument semantics (this is its batch back end)."""
-        from repro.core.theorem51 import ProbabilisticRunResult
-
-        pair = self.pair
-        values = pair.values
-        t2r = _TrialChannel(q, random.Random(seed))
-        r2t = _TrialChannel(q, random.Random(seed + 1))
-        oracle = (
-            PoolOracle(
-                values, {Direction.T2R: t2r, Direction.R2T: r2t}
-            )
-            if pair.uses_oracle
-            else None
-        )
-        snd, rcv = pair.kernels(oracle)
-        mvid = values.intern(message)
-
-        # Definition-2 counters and the event index, as local ints
-        # (the CountsSink/Execution.length equivalents).
-        length = 0
-        sm = rm = 0
-        sp_t2r = sp_r2t = rp_t2r = rp_r2t = 0
-        peak_t2r = peak_r2t = 0
-
-        snd_ready = snd.ready
-        snd_offer = snd.offer
-        snd_commit = snd.commit
-        snd_accept_msg = snd.accept_message
-        snd_accept_pkt = snd.accept_packet
-        rcv_accept = rcv.accept
-        rcv_pending = rcv.has_pending
-        rcv_pop_delivery = rcv.pop_delivery
-        rcv_pop_control = rcv.pop_control
-        t2r_deliver = t2r.deliver
-        r2t_deliver = r2t.deliver
-
-        # Channel internals, hoisted so the hot loops can inline
-        # ``_TrialChannel.send`` (the due lists are stable objects --
-        # drained with ``clear()``, never rebound -- so their bound
-        # ``append`` survives the whole trial).
-        t2r_due = t2r.due
-        r2t_due = r2t.due
-        t2r_due_append = t2r_due.append
-        r2t_due_append = r2t_due.append
-        t2r_counts = t2r.value_counts
-        r2t_counts = r2t.value_counts
-        t2r_rand = t2r._rand
-        r2t_rand = r2t._rand
-
-        # When the receiver kernel exposes its pending-output deques
-        # (table kernels and stock-plumbing interpreted kernels do),
-        # the engine tests emptiness directly -- a C-level truthiness
-        # check per event instead of a has_pending() call.
-        queues = getattr(rcv, "queues", None)
-        if queues is not None:
-            deliveries, outgoing = queues
-
-            def pump_receiver() -> None:
-                # DataLinkSystem.pump_receiver: deliveries first, then
-                # control packets, until quiescent.
-                nonlocal length, rm, sp_r2t, peak_r2t
-                while True:
-                    if deliveries:
-                        rcv_pop_delivery()
-                        length += 1
-                        rm += 1
-                    elif outgoing:
-                        v = rcv_pop_control()
-                        r2t.sent_total += 1
-                        r2t.size += 1
-                        r2t_counts[v] = r2t_counts.get(v, 0) + 1
-                        if r2t_rand() >= q:
-                            r2t_due_append(v)
-                        length += 1
-                        sp_r2t += 1
-                        outstanding = sp_r2t - rp_r2t
-                        if outstanding > peak_r2t:
-                            peak_r2t = outstanding
-                    else:
-                        break
-        else:
-            # A sentinel that always "has pending": the generic
-            # pump_receiver guards with has_pending() itself, so the
-            # call-site check must always pass through.
-            deliveries = outgoing = (True,)
-
-            def pump_receiver() -> None:
-                nonlocal length, rm, sp_r2t, peak_r2t
-                while rcv_pending():
-                    v = rcv_pop_delivery()
-                    if v >= 0:
-                        length += 1
-                        rm += 1
-                    else:
-                        v = rcv_pop_control()
-                        r2t.sent_total += 1
-                        r2t.size += 1
-                        r2t_counts[v] = r2t_counts.get(v, 0) + 1
-                        if r2t_rand() >= q:
-                            r2t_due_append(v)
-                        length += 1
-                        sp_r2t += 1
-                        outstanding = sp_r2t - rp_r2t
-                        if outstanding > peak_r2t:
-                            peak_r2t = outstanding
-
-        def step() -> None:
-            # DataLinkSystem.step without the (absent) adversary:
-            # pump_receiver; pump_sender(burst=1); flush_mandatory;
-            # pump_receiver.
-            nonlocal length, sp_t2r, rp_t2r, rp_r2t, peak_t2r
-            if deliveries or outgoing:
-                pump_receiver()
-            v = snd_offer()
-            if v >= 0:
-                t2r.sent_total += 1
-                t2r.size += 1
-                t2r_counts[v] = t2r_counts.get(v, 0) + 1
-                if t2r_rand() >= q:
-                    t2r_due_append(v)
-                length += 1
-                sp_t2r += 1
-                outstanding = sp_t2r - rp_t2r
-                if outstanding > peak_t2r:
-                    peak_t2r = outstanding
-                snd_commit()
-            # flush_mandatory, with take_due inlined: the due lists
-            # receive no appends while they drain (the sender only
-            # transmits through the burst above, and receiver sends
-            # during the t2r drain land on the r2t queue, which drains
-            # after), so iterate in place and clear.
-            while t2r_due or r2t_due:
-                if t2r_due:
-                    for dvid in t2r_due:
-                        t2r_deliver(dvid)
-                        length += 1
-                        rp_t2r += 1
-                        rcv_accept(dvid)
-                        if deliveries or outgoing:
-                            pump_receiver()
-                    t2r_due.clear()
-                if r2t_due:
-                    for dvid in r2t_due:
-                        r2t_deliver(dvid)
-                        length += 1
-                        rp_r2t += 1
-                        snd_accept_pkt(dvid)
-                    r2t_due.clear()
-            if deliveries or outgoing:
-                pump_receiver()
-
-        # Bulk hooks for runs of silent receipts: only interpreted
-        # kernels whose receiver absorbs duplicates without output (and
-        # whose sender commits without changing state) expose them.
-        rcv_silent = rcv.silent
-        rcv_absorb = rcv.absorb
-        snd_commit_run = snd.commit_run
-        quiet = rcv_silent is not None and snd_commit_run is not None
-
-        def quiet_run(v: int, k: int, limit: int) -> int:
-            # Up to ``limit`` steps while the sender re-sends ``v`` and
-            # the receiver absorbs the next ``k`` copies silently; ends
-            # right after the k-th absorbed copy.  Each step is step()
-            # with its no-op parts removed: one send and its t2r coin,
-            # and the copy, if lucky, delivered at once.  Nothing else
-            # moves -- the receiver sends nothing (r2t and its rng stay
-            # untouched), the sender receives nothing and its commit is
-            # idle (so ready() and offer() hold), and the oracle is only
-            # read outside this loop -- so the counters, the t2r pool
-            # and both stations are reconciled in bulk afterwards.
-            nonlocal length, sp_t2r, rp_t2r, peak_t2r
-            rand = t2r_rand
-            out = sp_t2r - rp_t2r
-            peak = peak_t2r
-            absorbed = 0
-            sends = 0
-            for sends in range(1, limit + 1):
-                # The outstanding count peaks right after a send.
-                out += 1
-                if out > peak:
-                    peak = out
-                if rand() >= q:
-                    out -= 1
-                    absorbed += 1
-                    if absorbed == k:
-                        break
-            length += sends + absorbed
-            sp_t2r += sends
-            rp_t2r += absorbed
-            peak_t2r = peak
-            t2r.sent_total += sends
-            t2r.size += sends - absorbed
-            t2r_counts[v] = t2r_counts.get(v, 0) + sends - absorbed
-            snd_commit_run(sends)
-            rcv_absorb(v, absorbed)
-            return sends
-
-        def run_one(budget: int) -> Tuple[int, bool]:
-            # DataLinkSystem.run([message], max_steps=budget).  The
-            # local ``rm`` counter tracks the kernel's
-            # messages_delivered exactly (both increment per committed
-            # delivery), so the goal test stays in plain integers.
-            nonlocal length, sm
-            pending = True
-            goal = rm + 1
-            steps = 0
-            while steps < budget:
-                if pending and snd_ready():
-                    length += 1
-                    sm += 1
-                    snd_accept_msg(mvid)
-                    pending = False
-                if not pending and rm >= goal and snd_ready():
-                    break
-                if quiet and not (deliveries or outgoing):
-                    v = snd_offer()
-                    if v >= 0:
-                        k = rcv_silent(v)
-                        if k > 0:
-                            steps += quiet_run(v, k, budget - steps)
-                            continue
-                step()
-                steps += 1
-            completed = not pending and rm >= goal and snd_ready()
-            return steps, completed
-
-        # The per-message loop of run_probabilistic_delivery.
-        cumulative: List[int] = []
-        steps_used = 0
-        delivered = 0
-        for _ in range(n):
-            steps, completed = run_one(max_steps - steps_used)
-            steps_used += steps
-            if not completed:
-                break
-            delivered += 1
-            cumulative.append(sp_t2r + sp_r2t)
-            if packet_budget is not None and cumulative[-1] >= packet_budget:
-                break
-            if steps_used >= max_steps:
-                break
-        per_message = [
-            cumulative[i] - (cumulative[i - 1] if i else 0)
-            for i in range(len(cumulative))
-        ]
-        for sink in sinks or ():
-            sink.sent_t2r += sp_t2r
-            sink.sent_r2t += sp_r2t
-            sink.received_t2r += rp_t2r
-            sink.received_r2t += rp_r2t
-            sink.messages_sent += sm
-            sink.messages_delivered += rm
-            if peak_t2r > sink.peak_outstanding_t2r:
-                sink.peak_outstanding_t2r = peak_t2r
-            if peak_r2t > sink.peak_outstanding_r2t:
-                sink.peak_outstanding_r2t = peak_r2t
-        return ProbabilisticRunResult(
-            q=q,
-            n=n,
-            delivered=delivered,
-            seed=seed,
-            cumulative_packets=cumulative,
-            per_message_packets=per_message,
-            final_backlog_t2r=t2r.size,
-            completed=delivered >= n,
-            steps=steps_used,
-            events_elided=length,
-        )
+def _kernels(pair_factory: Callable[[], Tuple], t2r, r2t) -> Tuple:
+    """One fresh station pair as ``(values, sender, receiver)`` kernels
+    over one value space, with a :class:`PoolOracle` reading the
+    engine's two pools for stations that consult the oracle."""
+    sender, receiver = pair_factory()
+    values = ValueIntern()
+    oracle = PoolOracle(values, {Direction.T2R: t2r, Direction.R2T: r2t})
+    return (
+        values,
+        InterpretedSender(sender, values, oracle),
+        InterpretedReceiver(receiver, values, oracle),
+    )
 
 
 def run_probabilistic_batch(
@@ -475,16 +199,268 @@ def run_probabilistic_batch(
     packet_budget: Optional[int] = None,
     sinks: Optional[Sequence[ExecutionSink]] = None,
 ):
-    """One-shot batch trial (``run_probabilistic_delivery`` back end)."""
-    engine = ProbabilisticTrialEngine(pair_factory)
-    return engine.run(
+    """Batch back end of
+    :func:`~repro.core.theorem51.run_probabilistic_delivery`: one
+    trial, bit-identical to the interpreted engine for supported
+    configurations (see :func:`probabilistic_batch_refusal`); the
+    arguments mean what they mean there."""
+    from repro.core.theorem51 import ProbabilisticRunResult
+
+    t2r = _TrialChannel(q, random.Random(seed))
+    r2t = _TrialChannel(q, random.Random(seed + 1))
+    values, snd, rcv = _kernels(pair_factory, t2r, r2t)
+    mvid = values.intern(message)
+
+    # Definition-2 counters and the event index, as local ints
+    # (the CountsSink/Execution.length equivalents).
+    length = 0
+    sm = rm = 0
+    sp_t2r = sp_r2t = rp_t2r = rp_r2t = 0
+    peak_t2r = peak_r2t = 0
+
+    snd_ready = snd.ready
+    snd_offer = snd.offer
+    snd_commit = snd.commit
+    snd_accept_msg = snd.accept_message
+    snd_accept_pkt = snd.accept_packet
+    rcv_accept = rcv.accept
+    rcv_pending = rcv.has_pending
+    rcv_pop_delivery = rcv.pop_delivery
+    rcv_pop_control = rcv.pop_control
+    t2r_deliver = t2r.deliver
+    r2t_deliver = r2t.deliver
+
+    # Channel internals, hoisted so the hot loops can inline
+    # ``_TrialChannel.send`` (the due lists are stable objects --
+    # drained with ``clear()``, never rebound -- so their bound
+    # ``append`` survives the whole trial).
+    t2r_due = t2r.due
+    r2t_due = r2t.due
+    t2r_due_append = t2r_due.append
+    r2t_due_append = r2t_due.append
+    t2r_counts = t2r.value_counts
+    r2t_counts = r2t.value_counts
+    t2r_rand = t2r._rand
+    r2t_rand = r2t._rand
+
+    # When the receiver kernel exposes its pending-output deques
+    # (stock queue plumbing does), the engine tests emptiness
+    # directly -- a C-level truthiness check per event instead of a
+    # has_pending() call.
+    queues = rcv.queues
+    if queues is not None:
+        deliveries, outgoing = queues
+
+        def pump_receiver() -> None:
+            # DataLinkSystem.pump_receiver: deliveries first, then
+            # control packets, until quiescent.
+            nonlocal length, rm, sp_r2t, peak_r2t
+            while True:
+                if deliveries:
+                    rcv_pop_delivery()
+                    length += 1
+                    rm += 1
+                elif outgoing:
+                    v = rcv_pop_control()
+                    r2t.sent_total += 1
+                    r2t.size += 1
+                    r2t_counts[v] = r2t_counts.get(v, 0) + 1
+                    if r2t_rand() >= q:
+                        r2t_due_append(v)
+                    length += 1
+                    sp_r2t += 1
+                    outstanding = sp_r2t - rp_r2t
+                    if outstanding > peak_r2t:
+                        peak_r2t = outstanding
+                else:
+                    break
+    else:
+        # A sentinel that always "has pending": the generic
+        # pump_receiver guards with has_pending() itself, so the
+        # call-site check must always pass through.
+        deliveries = outgoing = (True,)
+
+        def pump_receiver() -> None:
+            nonlocal length, rm, sp_r2t, peak_r2t
+            while rcv_pending():
+                v = rcv_pop_delivery()
+                if v >= 0:
+                    length += 1
+                    rm += 1
+                else:
+                    v = rcv_pop_control()
+                    r2t.sent_total += 1
+                    r2t.size += 1
+                    r2t_counts[v] = r2t_counts.get(v, 0) + 1
+                    if r2t_rand() >= q:
+                        r2t_due_append(v)
+                    length += 1
+                    sp_r2t += 1
+                    outstanding = sp_r2t - rp_r2t
+                    if outstanding > peak_r2t:
+                        peak_r2t = outstanding
+
+    def step() -> None:
+        # DataLinkSystem.step without the (absent) adversary:
+        # pump_receiver; pump_sender(burst=1); flush_mandatory;
+        # pump_receiver.
+        nonlocal length, sp_t2r, rp_t2r, rp_r2t, peak_t2r
+        if deliveries or outgoing:
+            pump_receiver()
+        v = snd_offer()
+        if v >= 0:
+            t2r.sent_total += 1
+            t2r.size += 1
+            t2r_counts[v] = t2r_counts.get(v, 0) + 1
+            if t2r_rand() >= q:
+                t2r_due_append(v)
+            length += 1
+            sp_t2r += 1
+            outstanding = sp_t2r - rp_t2r
+            if outstanding > peak_t2r:
+                peak_t2r = outstanding
+            snd_commit()
+        # flush_mandatory, with take_due inlined: the due lists
+        # receive no appends while they drain (the sender only
+        # transmits through the burst above, and receiver sends
+        # during the t2r drain land on the r2t queue, which drains
+        # after), so iterate in place and clear.
+        while t2r_due or r2t_due:
+            if t2r_due:
+                for dvid in t2r_due:
+                    t2r_deliver(dvid)
+                    length += 1
+                    rp_t2r += 1
+                    rcv_accept(dvid)
+                    if deliveries or outgoing:
+                        pump_receiver()
+                t2r_due.clear()
+            if r2t_due:
+                for dvid in r2t_due:
+                    r2t_deliver(dvid)
+                    length += 1
+                    rp_r2t += 1
+                    snd_accept_pkt(dvid)
+                r2t_due.clear()
+        if deliveries or outgoing:
+            pump_receiver()
+
+    # Bulk hooks for runs of silent receipts: only kernels whose
+    # receiver absorbs duplicates without output (and whose sender
+    # commits without changing state) expose them.
+    rcv_silent = rcv.silent
+    rcv_absorb = rcv.absorb
+    snd_commit_run = snd.commit_run
+    quiet = rcv_silent is not None and snd_commit_run is not None
+
+    def quiet_run(v: int, k: int, limit: int) -> int:
+        # Up to ``limit`` steps while the sender re-sends ``v`` and
+        # the receiver absorbs the next ``k`` copies silently; ends
+        # right after the k-th absorbed copy.  Each step is step()
+        # with its no-op parts removed: one send and its t2r coin,
+        # and the copy, if lucky, delivered at once.  Nothing else
+        # moves -- the receiver sends nothing (r2t and its rng stay
+        # untouched), the sender receives nothing and its commit is
+        # idle (so ready() and offer() hold), and the oracle is only
+        # read outside this loop -- so the counters, the t2r pool
+        # and both stations are reconciled in bulk afterwards.
+        nonlocal length, sp_t2r, rp_t2r, peak_t2r
+        rand = t2r_rand
+        out = sp_t2r - rp_t2r
+        peak = peak_t2r
+        absorbed = 0
+        sends = 0
+        for sends in range(1, limit + 1):
+            # The outstanding count peaks right after a send.
+            out += 1
+            if out > peak:
+                peak = out
+            if rand() >= q:
+                out -= 1
+                absorbed += 1
+                if absorbed == k:
+                    break
+        length += sends + absorbed
+        sp_t2r += sends
+        rp_t2r += absorbed
+        peak_t2r = peak
+        t2r.sent_total += sends
+        t2r.size += sends - absorbed
+        t2r_counts[v] = t2r_counts.get(v, 0) + sends - absorbed
+        snd_commit_run(sends)
+        rcv_absorb(v, absorbed)
+        return sends
+
+    def run_one(budget: int) -> Tuple[int, bool]:
+        # DataLinkSystem.run([message], max_steps=budget).  The
+        # local ``rm`` counter tracks the station's
+        # messages_delivered exactly (both increment per committed
+        # delivery), so the goal test stays in plain integers.
+        nonlocal length, sm
+        pending = True
+        goal = rm + 1
+        steps = 0
+        while steps < budget:
+            if pending and snd_ready():
+                length += 1
+                sm += 1
+                snd_accept_msg(mvid)
+                pending = False
+            if not pending and rm >= goal and snd_ready():
+                break
+            if quiet and not (deliveries or outgoing):
+                v = snd_offer()
+                if v >= 0:
+                    k = rcv_silent(v)
+                    if k > 0:
+                        steps += quiet_run(v, k, budget - steps)
+                        continue
+            step()
+            steps += 1
+        completed = not pending and rm >= goal and snd_ready()
+        return steps, completed
+
+    # The per-message loop of run_probabilistic_delivery.
+    cumulative: List[int] = []
+    steps_used = 0
+    delivered = 0
+    for _ in range(n):
+        steps, completed = run_one(max_steps - steps_used)
+        steps_used += steps
+        if not completed:
+            break
+        delivered += 1
+        cumulative.append(sp_t2r + sp_r2t)
+        if packet_budget is not None and cumulative[-1] >= packet_budget:
+            break
+        if steps_used >= max_steps:
+            break
+    per_message = [
+        cumulative[i] - (cumulative[i - 1] if i else 0)
+        for i in range(len(cumulative))
+    ]
+    for sink in sinks or ():
+        sink.sent_t2r += sp_t2r
+        sink.sent_r2t += sp_r2t
+        sink.received_t2r += rp_t2r
+        sink.received_r2t += rp_r2t
+        sink.messages_sent += sm
+        sink.messages_delivered += rm
+        if peak_t2r > sink.peak_outstanding_t2r:
+            sink.peak_outstanding_t2r = peak_t2r
+        if peak_r2t > sink.peak_outstanding_r2t:
+            sink.peak_outstanding_r2t = peak_r2t
+    return ProbabilisticRunResult(
         q=q,
         n=n,
+        delivered=delivered,
         seed=seed,
-        message=message,
-        max_steps=max_steps,
-        packet_budget=packet_budget,
-        sinks=sinks,
+        cumulative_packets=cumulative,
+        per_message_packets=per_message,
+        final_backlog_t2r=t2r.size,
+        completed=delivered >= n,
+        steps=steps_used,
+        events_elided=length,
     )
 
 
@@ -535,26 +511,19 @@ def plant_backlog_batch(
     """Batch back end of :func:`~repro.core.theorem41.plant_backlog`
     (COUNTS mode).
 
-    Runs the discovery and spread-hoarding phases entirely in value-id
-    space -- compiled kernels, integer bags, inlined quota arithmetic
-    -- then materialises the final configuration into a live
-    ``(system, pool, messages_spent)`` triple indistinguishable from
-    the interpreted one: same station states, same channel bags (copy
-    ids, values, send indices), same execution counters and
+    Runs the discovery and spread-hoarding phases in value-id space --
+    integer kernels over the live stations, integer bags, inlined quota
+    arithmetic -- then materialises the final configuration into a
+    live ``(system, pool, messages_spent)`` triple indistinguishable
+    from the interpreted one: same station states, same channel bags
+    (copy ids, values, send indices), same execution counters and
     distinct-packet sets, same reserve pool.
     """
     from repro.datalink.system import make_system
 
-    pair = CompiledPair(pair_factory)
-    values = pair.values
     t2r = _PumpBag()
     r2t = _PumpBag()
-    oracle = (
-        PoolOracle(values, {Direction.T2R: t2r, Direction.R2T: r2t})
-        if pair.uses_oracle
-        else None
-    )
-    snd, rcv = pair.kernels(oracle)
+    values, snd, rcv = _kernels(pair_factory, t2r, r2t)
     mvid = values.intern(message)
 
     length = 0
@@ -584,7 +553,7 @@ def plant_backlog_batch(
 
     # Same queue-exposure trick as the probabilistic engine: test
     # pending output by deque truthiness when the kernel allows it.
-    queues = getattr(rcv, "queues", None)
+    queues = rcv.queues
     if queues is not None:
         deliveries, outgoing = queues
 
@@ -629,7 +598,7 @@ def plant_backlog_batch(
         # inlined: per_value=None is the discovery quota (always 0,
         # never reserve), otherwise reserve below per_value per value
         # until the hoard reaches target_total.  The local ``rm``
-        # counter tracks the kernel's messages_delivered exactly, so
+        # counter tracks the station's messages_delivered exactly, so
         # the goal test stays in plain integers.
         nonlocal length, sm, sp_t2r, rp_t2r, rp_r2t, last_t2r
         if not snd_ready():
@@ -717,7 +686,7 @@ def plant_backlog_batch(
     # Materialise the final configuration as a live system.
     vals = values.values
     system = make_system(
-        snd.materialise(), rcv.materialise(), trace_mode=TraceMode.COUNTS
+        snd.station, rcv.station, trace_mode=TraceMode.COUNTS
     )
     for chan, bag in ((system.chan_t2r, t2r), (system.chan_r2t, r2t)):
         chan._in_transit = {

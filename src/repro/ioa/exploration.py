@@ -226,9 +226,9 @@ class _InternedSearch:
         # queues) directly -- no Action objects, and restores assign
         # `protocol_fields` instead of rebuilding full snapshots.
         # Any override of the plumbing falls back to the faithful path.
-        # The predicates are shared with the table compiler
-        # (repro.ioa.compile) -- one definition of "stock plumbing" for
-        # every kernel that relies on it.
+        # The predicates live beside the trial engines' integer kernels
+        # (repro.ioa.compile), which make the same is-identity checks
+        # per method.
         from repro.ioa.compile import (
             stock_receiver_plumbing,
             stock_sender_plumbing,

@@ -143,6 +143,24 @@ def test_negative_message_count_fails_the_run(cli_runs, tmp_path):
     assert "n must be non-negative" in result.stderr
 
 
+def test_negative_backlog_fails_the_run(cli_runs, tmp_path):
+    spec = tmp_path / "negative-backlog.json"
+    spec.write_text(json.dumps({
+        "name": "negative-backlog",
+        "groups": [{
+            "cell": "backlog",
+            "label": "backlog",
+            "protocol": "alternating-bit",
+            "grid": {"backlog": [-4]},
+            "metrics": ["backlog_actual", "lower_bound"],
+        }],
+    }), encoding="utf-8")
+    result = run_cli(["campaign", str(spec), "--no-cache"], tmp_path, tmp_path)
+    assert result.returncode == 1
+    assert "overall: PASS" not in result.stdout
+    assert "backlog must be non-negative" in result.stderr
+
+
 def test_list_prints_registries(cli_runs, tmp_path):
     result = run_cli(["list"], tmp_path, tmp_path)
     assert result.returncode == 0

@@ -11,6 +11,7 @@ from repro.datalink.alternating_bit import make_alternating_bit
 from repro.datalink.flooding import make_flooding
 from repro.datalink.sequence import make_sequence_protocol
 from repro.datalink.spec import check_execution
+from repro.ioa.execution import TraceMode
 
 
 class TestPlantBacklog:
@@ -40,6 +41,33 @@ class TestPlantBacklog:
         system, pool, _ = plant_backlog(make_sequence_protocol, 16)
         assert pool.total() >= 16
         assert check_execution(system.execution).valid
+
+    @pytest.mark.parametrize(
+        "name",
+        ["backlog", "max_messages", "max_steps_per_message",
+         "discovery_messages"],
+    )
+    @pytest.mark.parametrize(
+        "engine, trace_mode",
+        [("batch", TraceMode.COUNTS), ("interpreted", TraceMode.FULL)],
+    )
+    def test_negative_counts_are_rejected_on_every_tier(
+        self, name, engine, trace_mode
+    ):
+        kwargs = {"backlog": 8, name: -1}
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative"):
+            plant_backlog(
+                make_alternating_bit, trace_mode=trace_mode, engine=engine,
+                **kwargs,
+            )
+
+    def test_zero_backlog_plants_one_copy_per_value(self):
+        for engine in ("batch", "interpreted"):
+            _, pool, _ = plant_backlog(
+                lambda: make_flooding(3), 0,
+                trace_mode=TraceMode.COUNTS, engine=engine,
+            )
+            assert pool.total() == 3
 
 
 class TestProbe:

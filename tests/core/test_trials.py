@@ -1,7 +1,7 @@
 """The batched trial engines are bit-identical to the interpreted path.
 
-The compiled batch engines (:mod:`repro.core.trials`) re-transcribe
-the Theorem 5.1 delivery loop and the Theorem 4.1 pumping loop into
+The batch engines (:mod:`repro.core.trials`) re-transcribe the
+Theorem 5.1 delivery loop and the Theorem 4.1 pumping loop into
 integer space; the refactor is only admissible because every observable
 is *exactly* preserved.  These tests pin that contract: same
 :class:`ProbabilisticRunResult` field for field, same backlog-probe
@@ -25,11 +25,7 @@ from repro.core.theorem41 import (
     run_dichotomy,
 )
 from repro.core.theorem51 import run_probabilistic_delivery
-from repro.core.trials import (
-    ProbabilisticTrialEngine,
-    probabilistic_batch_refusal,
-    pump_batch_refusal,
-)
+from repro.core.trials import probabilistic_batch_refusal, pump_batch_refusal
 from repro.datalink.alternating_bit import make_alternating_bit
 from repro.datalink.broken import (
     BlackHoleReceiver,
@@ -37,7 +33,11 @@ from repro.datalink.broken import (
     ForgetfulSender,
     SwapReceiver,
 )
-from repro.datalink.flooding import make_capacity_flooding, make_flooding
+from repro.datalink.flooding import (
+    FloodingReceiver,
+    make_capacity_flooding,
+    make_flooding,
+)
 from repro.datalink.gobackn import make_gobackn
 from repro.datalink.sequence import (
     SequenceReceiver,
@@ -164,18 +164,37 @@ def test_batch_engine_rejects_unsupported_configuration():
     assert result.delivered == 4
 
 
-def test_trial_shard_reuses_one_compiled_pair():
-    engine = ProbabilisticTrialEngine(make_sequence_protocol)
-    shard = [engine.run(q=0.2, n=8, seed=s) for s in range(3)]
-    singles = [
-        run_probabilistic_delivery(
-            make_sequence_protocol, q=0.2, n=8, seed=s, engine="batch"
+def test_capacity_flooding_runs_the_quiet_loop(monkeypatch):
+    """A capacity-mode flooding receiver counts copies up to its
+    capacity without output, so the batch tier absorbs those runs in
+    bulk: the result matches the interpreted tier field for field
+    while fewer receipts reach ``on_packet``."""
+    calls = {}
+
+    def counting(method):
+        def wrapper(self, *args):
+            calls[method.__name__] += 1
+            return method(self, *args)
+        return wrapper
+
+    for name in ("on_packet", "absorb_copies"):
+        method = getattr(FloodingReceiver, name)
+        monkeypatch.setattr(FloodingReceiver, name, counting(method))
+    runs = {}
+    for engine in ("interpreted", "batch"):
+        calls.update(on_packet=0, absorb_copies=0)
+        result = run_probabilistic_delivery(
+            lambda: make_capacity_flooding(3, 8),
+            q=0.5, n=6, seed=0, engine=engine,
         )
-        for s in range(3)
-    ]
-    assert [dataclasses.asdict(r) for r in shard] == [
-        dataclasses.asdict(r) for r in singles
-    ]
+        runs[engine] = (dataclasses.asdict(result), dict(calls))
+    (interpreted, i_calls), (batch, b_calls) = (
+        runs["interpreted"], runs["batch"]
+    )
+    assert batch == interpreted
+    assert batch["completed"]
+    assert i_calls["absorb_copies"] == 0 < b_calls["absorb_copies"]
+    assert b_calls["on_packet"] < i_calls["on_packet"]
 
 
 # ---------------------------------------------------------------------------

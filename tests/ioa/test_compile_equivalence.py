@@ -1,16 +1,17 @@
 """Kernel-vs-station equivalence for every datalink station class.
 
-The batched engines (:mod:`repro.core.trials`) drive *kernels* built
-by :func:`repro.ioa.compile.compile_automaton` -- table-compiled for
-stock-plumbing automata, closure-interpreted otherwise -- instead of
-the real stations.  The engines are only sound if a kernel is
-observationally identical to the station it wraps, so this suite runs
-randomized closed-loop schedules (message submissions, transmissions,
-non-FIFO deliveries in both directions, delivery/control pops) twice:
-once against real station objects over plain multiset channels, once
-against the compiled kernels over value-id pools, and asserts the two
-trajectories match step for step -- protocol states, Definition-2
-counters, readiness, offered packets and every popped output.
+The batched engines (:mod:`repro.core.trials`) drive the stations
+through the integer kernels of :mod:`repro.ioa.compile`
+(``InterpretedSender`` / ``InterpretedReceiver``), whose closures
+inline the base-class plumbing wherever a station keeps it.  The
+engines are only sound if a kernel is observationally identical to
+the station it wraps, so this suite runs randomized closed-loop
+schedules (message submissions, transmissions, non-FIFO deliveries in
+both directions, delivery/control pops) twice: once through the
+stations' own methods over plain multiset channels, once through the
+kernels over value-id pools, and asserts the two trajectories match
+step for step -- protocol states, Definition-2 counters, readiness,
+offered packets and every popped output.
 
 Parametrized over every concrete station class in
 :mod:`repro.datalink` (oracle-mode flooding runs against a
@@ -57,7 +58,13 @@ from repro.datalink.sequence_mod import (
 from repro.datalink.stations import ReceiverStation, SenderStation
 from repro.datalink.window import WindowReceiver, WindowSender, make_window_protocol
 from repro.ioa.actions import Direction
-from repro.ioa.compile import NO_VALUE, PoolOracle, ValueIntern, compile_automaton
+from repro.ioa.compile import (
+    NO_VALUE,
+    InterpretedReceiver,
+    InterpretedSender,
+    PoolOracle,
+    ValueIntern,
+)
 
 # ---------------------------------------------------------------------------
 # the coverage matrix
@@ -230,15 +237,15 @@ def drive_stations(factory, seed, steps):
 
 
 def drive_kernels(factory, seed, steps):
-    """The same schedule through ``compile_automaton`` kernels."""
+    """The same schedule through the integer kernels."""
     from repro.datalink.stations import NO_OUTPUT
 
     sender, receiver = factory()
     values = ValueIntern()
     pools = {Direction.T2R: _Pool(), Direction.R2T: _Pool()}
     oracle = PoolOracle(values, pools)
-    skern = compile_automaton(sender, values, oracle)
-    rkern = compile_automaton(receiver, values, oracle)
+    skern = InterpretedSender(sender, values, oracle)
+    rkern = InterpretedReceiver(receiver, values, oracle)
     vals = values.values
     rng = random.Random(seed)
     t2r, r2t = [], []
@@ -275,7 +282,7 @@ def drive_kernels(factory, seed, steps):
             mvid = rkern.pop_delivery()
             out = NO_OUTPUT if mvid == NO_VALUE else vals[mvid]
         else:  # pop_control
-            if rkern.protocol_state()[1]:
+            if receiver.protocol_state()[1]:
                 vid = rkern.pop_control()
                 r2t.append(vid)
                 pools[Direction.R2T].add(vid)
@@ -284,11 +291,11 @@ def drive_kernels(factory, seed, steps):
             (
                 op,
                 out,
-                skern.protocol_state(),
-                skern.packets_sent,
+                sender.protocol_state(),
+                sender.packets_sent,
                 skern.ready(),
-                rkern.protocol_state(),
-                rkern.messages_delivered,
+                receiver.protocol_state(),
+                receiver.messages_delivered,
             )
         )
     return trajectory
@@ -304,66 +311,28 @@ def drive_kernels(factory, seed, steps):
        steps=st.integers(min_value=1, max_value=80))
 @settings(max_examples=20, deadline=None)
 def test_kernel_matches_station(name, factory, seed, steps):
-    """compiled == interpreted == the real automaton, step for step."""
+    """kernel == the real automaton, step for step."""
     reference = drive_stations(factory, seed, steps)
     kernel = drive_kernels(factory, seed, steps)
     assert kernel == reference
 
 
 @pytest.mark.parametrize("name, factory", CASES, ids=CASE_IDS)
-def test_kernel_kind_matches_the_gate(name, factory):
-    """Stock-plumbing, oracle-free automata compile to tables; oracle
-    users and overridden-plumbing stations (the sliding-window senders
-    re-implement ``offer_packet``/``commit_packet``) interpret."""
-    from repro.ioa.compile import stock_receiver_plumbing, stock_sender_plumbing
-
-    sender, receiver = factory()
-    values = ValueIntern()
-    skern = compile_automaton(sender, values)
-    rkern = compile_automaton(receiver, values)
-    sender_table = stock_sender_plumbing(type(sender)) and not sender.uses_oracle
-    receiver_table = (
-        stock_receiver_plumbing(type(receiver)) and not receiver.uses_oracle
-    )
-    assert skern.kind == ("table" if sender_table else "interpreted")
-    assert rkern.kind == ("table" if receiver_table else "interpreted")
-    # Both kernel kinds appear across the matrix; make the interesting
-    # fallbacks explicit so a gate regression cannot silently flip them.
-    if name in ("gobackn", "window"):
-        assert skern.kind == "interpreted" and rkern.kind == "table"
-    if name == "flooding_oracle":
-        assert skern.kind == "interpreted" and rkern.kind == "interpreted"
-    if name == "sequence":
-        assert skern.kind == "table" and rkern.kind == "table"
-
-
-@pytest.mark.parametrize("name, factory", CASES, ids=CASE_IDS)
 def test_bulk_hooks_follow_the_gate(name, factory):
-    """Only interpreted ``FloodingReceiver`` kernels get the silent-run
-    hooks, and ``commit_run`` exists only where a commit cannot change
-    the sender's state."""
+    """Only ``FloodingReceiver`` kernels get the silent-run hooks, and
+    ``commit_run`` exists only where a commit cannot change the
+    sender's state."""
     sender, receiver = factory()
     values = ValueIntern()
-    skern = compile_automaton(sender, values)
-    rkern = compile_automaton(receiver, values)
+    skern = InterpretedSender(sender, values)
+    rkern = InterpretedReceiver(receiver, values)
     assert (rkern.silent is None) == (rkern.absorb is None)
     if rkern.silent is not None:
         assert type(receiver) is FloodingReceiver
-        assert rkern.kind == "interpreted"
-    if name == "flooding_oracle":
-        assert rkern.silent is not None and skern.commit_run is not None
-    if skern.kind == "table" or name in ("gobackn", "window", "forgetful"):
-        # Table commits may move the state; Go-Back-N and the window
-        # sender override commit_packet; ForgetfulSender's
-        # on_packet_sent clears current_packet.
+    if name in ("flooding_oracle", "flooding_capacity"):
+        hooks = (rkern.silent, rkern.absorb, skern.commit_run)
+        assert all(hook is not None for hook in hooks)
+    if name in ("gobackn", "window", "forgetful"):
+        # Go-Back-N and the window sender override commit_packet;
+        # ForgetfulSender's on_packet_sent clears current_packet.
         assert skern.commit_run is None
-
-
-def test_compile_rejects_non_station_automata():
-    from repro.ioa.automaton import IOAutomaton
-
-    class NotAStation(IOAutomaton):
-        pass
-
-    with pytest.raises(TypeError):
-        compile_automaton(NotAStation(), ValueIntern())

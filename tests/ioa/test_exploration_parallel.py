@@ -90,7 +90,7 @@ class TestSerialParallelEquivalence:
         ids=["eager", "gobackn", "modular_sequence"],
     )
     def test_stock_pairs_match_serial(self, factory):
-        """Pairs outside the table compiler's reach (Go-Back-N's own
+        """Pairs off the stock-plumbing fast path (Go-Back-N's own
         plumbing) and broken receivers explore identically too."""
         serial = explore_serial(factory, ["a", "b"], 2)
         assert not serial.truncated
