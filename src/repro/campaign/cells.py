@@ -151,6 +151,9 @@ def _adversary_observations(
     sender, receiver = registry.make_protocol(
         params["protocol"], dotted.get("protocol")
     )
+    n = int(scenario["n"])
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     channel_name = params["channel"] or "nonfifo"
     adversary_name = params["adversary"] or "optimal"
     system = DataLinkSystem(
@@ -168,7 +171,6 @@ def _adversary_observations(
         sender_burst=int(scenario.get("sender_burst", 1)),
         trace_mode=TraceMode.COUNTS,
     )
-    n = int(scenario["n"])
     stats = system.run(
         [f"m{i}" for i in range(n)],
         max_steps=int(scenario.get("max_steps", 10_000)),

@@ -50,9 +50,8 @@ class TraceStep:
             ``("output", packet)``, ``("deliver", packet)`` or
             ``("ack", packet)``.
         portable: the configuration *reached* by the move, as the
-            engine's portable tuple ``(sender key, sender snapshot,
-            receiver key, receiver snapshot, t->r values, r->t values,
-            injected, delivered)``.
+            engine's six-field portable tuple ``(sender key, receiver
+            key, t->r values, r->t values, injected, delivered)``.
     """
 
     label: Optional[Tuple[str, Hashable]]
@@ -60,13 +59,13 @@ class TraceStep:
 
 
 def _canonical_step(step: TraceStep) -> Tuple:
-    """Snapshot-free, order-free form of a step.
+    """Order-free form of a step.
 
-    Representative snapshots and channel-set orderings depend on which
-    path discovered a state first; everything else is content.  Two
-    traces of the same abstract path canonicalise identically.
+    Channel-set orderings depend on the order in which values were
+    interned; everything else is content.  Two traces of the same
+    abstract path canonicalise identically.
     """
-    skey, _ssnap, rkey, _rsnap, t2r, r2t, injected, delivered = step.portable
+    skey, rkey, t2r, r2t, injected, delivered = step.portable
     return (
         step.label,
         skey,
@@ -247,7 +246,7 @@ def _ensure_forward_copy(system: DataLinkSystem, value, index: int,
 def _verify_final(system: DataLinkSystem, target: Tuple,
                   delivered_cap: int, notes: List[str]) -> bool:
     """The replayed system must land exactly on the hit configuration."""
-    skey, _ssnap, rkey, _rsnap, t2r, r2t, injected, delivered = target
+    skey, rkey, t2r, r2t, injected, delivered = target
     ok = True
     if system.sender.protocol_state() != skey:
         notes.append("final sender state differs from the hit configuration")

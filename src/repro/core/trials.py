@@ -224,9 +224,11 @@ def run_probabilistic_batch(
     snd_accept_msg = snd.accept_message
     snd_accept_pkt = snd.accept_packet
     rcv_accept = rcv.accept
-    rcv_pending = rcv.has_pending
     rcv_pop_delivery = rcv.pop_delivery
     rcv_pop_control = rcv.pop_control
+    # The receiver's output deques: pending output is a C-level
+    # truthiness test per event, not a call.
+    deliveries, outgoing = rcv.queues
     t2r_deliver = t2r.deliver
     r2t_deliver = r2t.deliver
 
@@ -243,62 +245,29 @@ def run_probabilistic_batch(
     t2r_rand = t2r._rand
     r2t_rand = r2t._rand
 
-    # When the receiver kernel exposes its pending-output deques
-    # (stock queue plumbing does), the engine tests emptiness
-    # directly -- a C-level truthiness check per event instead of a
-    # has_pending() call.
-    queues = rcv.queues
-    if queues is not None:
-        deliveries, outgoing = queues
-
-        def pump_receiver() -> None:
-            # DataLinkSystem.pump_receiver: deliveries first, then
-            # control packets, until quiescent.
-            nonlocal length, rm, sp_r2t, peak_r2t
-            while True:
-                if deliveries:
-                    rcv_pop_delivery()
-                    length += 1
-                    rm += 1
-                elif outgoing:
-                    v = rcv_pop_control()
-                    r2t.sent_total += 1
-                    r2t.size += 1
-                    r2t_counts[v] = r2t_counts.get(v, 0) + 1
-                    if r2t_rand() >= q:
-                        r2t_due_append(v)
-                    length += 1
-                    sp_r2t += 1
-                    outstanding = sp_r2t - rp_r2t
-                    if outstanding > peak_r2t:
-                        peak_r2t = outstanding
-                else:
-                    break
-    else:
-        # A sentinel that always "has pending": the generic
-        # pump_receiver guards with has_pending() itself, so the
-        # call-site check must always pass through.
-        deliveries = outgoing = (True,)
-
-        def pump_receiver() -> None:
-            nonlocal length, rm, sp_r2t, peak_r2t
-            while rcv_pending():
-                v = rcv_pop_delivery()
-                if v >= 0:
-                    length += 1
-                    rm += 1
-                else:
-                    v = rcv_pop_control()
-                    r2t.sent_total += 1
-                    r2t.size += 1
-                    r2t_counts[v] = r2t_counts.get(v, 0) + 1
-                    if r2t_rand() >= q:
-                        r2t_due_append(v)
-                    length += 1
-                    sp_r2t += 1
-                    outstanding = sp_r2t - rp_r2t
-                    if outstanding > peak_r2t:
-                        peak_r2t = outstanding
+    def pump_receiver() -> None:
+        # DataLinkSystem.pump_receiver: deliveries first, then
+        # control packets, until quiescent.
+        nonlocal length, rm, sp_r2t, peak_r2t
+        while True:
+            if deliveries:
+                rcv_pop_delivery()
+                length += 1
+                rm += 1
+            elif outgoing:
+                v = rcv_pop_control()
+                r2t.sent_total += 1
+                r2t.size += 1
+                r2t_counts[v] = r2t_counts.get(v, 0) + 1
+                if r2t_rand() >= q:
+                    r2t_due_append(v)
+                length += 1
+                sp_r2t += 1
+                outstanding = sp_r2t - rp_r2t
+                if outstanding > peak_r2t:
+                    peak_r2t = outstanding
+            else:
+                break
 
     def step() -> None:
         # DataLinkSystem.step without the (absent) adversary:
@@ -547,51 +516,27 @@ def plant_backlog_batch(
     snd_commit = snd.commit
     snd_accept_pkt = snd.accept_packet
     rcv_accept = rcv.accept
-    rcv_pending = rcv.has_pending
     rcv_pop_delivery = rcv.pop_delivery
     rcv_pop_control = rcv.pop_control
+    deliveries, outgoing = rcv.queues
 
-    # Same queue-exposure trick as the probabilistic engine: test
-    # pending output by deque truthiness when the kernel allows it.
-    queues = rcv.queues
-    if queues is not None:
-        deliveries, outgoing = queues
-
-        def pump_receiver() -> None:
-            nonlocal length, rm, sp_r2t, last_r2t
-            while True:
-                if deliveries:
-                    rcv_pop_delivery()
-                    length += 1
-                    rm += 1
-                elif outgoing:
-                    pvid = rcv_pop_control()
-                    r2t.send(pvid, length)
-                    length += 1
-                    sp_r2t += 1
-                    if pvid != last_r2t:
-                        distinct_r2t.add(pvid)
-                        last_r2t = pvid
-                else:
-                    break
-    else:
-        deliveries = outgoing = (True,)
-
-        def pump_receiver() -> None:
-            nonlocal length, rm, sp_r2t, last_r2t
-            while rcv_pending():
-                v = rcv_pop_delivery()
-                if v >= 0:
-                    length += 1
-                    rm += 1
-                else:
-                    pvid = rcv_pop_control()
-                    r2t.send(pvid, length)
-                    length += 1
-                    sp_r2t += 1
-                    if pvid != last_r2t:
-                        distinct_r2t.add(pvid)
-                        last_r2t = pvid
+    def pump_receiver() -> None:
+        nonlocal length, rm, sp_r2t, last_r2t
+        while True:
+            if deliveries:
+                rcv_pop_delivery()
+                length += 1
+                rm += 1
+            elif outgoing:
+                pvid = rcv_pop_control()
+                r2t.send(pvid, length)
+                length += 1
+                sp_r2t += 1
+                if pvid != last_r2t:
+                    distinct_r2t.add(pvid)
+                    last_r2t = pvid
+            else:
+                break
 
     def pump_msg(per_value: Optional[int], target_total: int) -> bool:
         # pumping.pump_message, with the plant_backlog quota closures

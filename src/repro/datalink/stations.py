@@ -19,6 +19,25 @@ discipline:
   pending control packets; deliveries take priority, so a message is
   handed to the higher layer as soon as the protocol decides to accept
   it.
+
+The plumbing is fixed: a station's behaviour is a function of its
+``protocol_state()``, and the exploration and the batch trial engines
+restore a station from that key and call its hooks directly.  A
+subclass that overrides any of these raises :class:`TypeError` at
+class creation:
+
+* on both stations: ``handle_input``, ``next_output``,
+  ``perform_output``, ``accept_packet``, ``snapshot``, ``restore`` and
+  ``protocol_state``;
+* on the sender also ``accept_message``;
+* on the receiver also ``pop_delivery``, ``pop_control_packet`` and
+  ``has_pending_output``.
+
+A protocol overrides the rest: the ``on_*`` hooks,
+``protocol_fields``/``set_protocol_fields`` and ``ready_for_message``;
+a sender that does not transmit through ``current_packet`` (Go-Back-N,
+the window sender) ``offer_packet``/``commit_packet``; a receiver with
+a silent-receipt lookahead ``silent_copies``/``absorb_copies``.
 """
 
 from __future__ import annotations
@@ -42,6 +61,25 @@ from repro.ioa.automaton import IOAutomaton
 #: ``None`` is a perfectly legal message payload.
 NO_OUTPUT = object()
 
+#: Plumbing no station subclass may override (see the module docstring).
+_STATION_PLUMBING = (
+    "handle_input", "next_output", "perform_output", "accept_packet",
+    "snapshot", "restore", "protocol_state",
+)
+_SENDER_PLUMBING = _STATION_PLUMBING + ("accept_message",)
+_RECEIVER_PLUMBING = _STATION_PLUMBING + (
+    "pop_delivery", "pop_control_packet", "has_pending_output",
+)
+
+
+def _forbid_overrides(cls: type, base: type, names: Tuple[str, ...]) -> None:
+    for name in names:
+        if getattr(cls, name) is not getattr(base, name):
+            raise TypeError(
+                f"{cls.__name__} overrides {base.__name__}.{name}, which "
+                "is fixed plumbing; override the protocol hooks instead"
+            )
+
 
 class SenderStation(IOAutomaton):
     """Base class for the transmitting-station automaton ``A^t``.
@@ -53,10 +91,16 @@ class SenderStation(IOAutomaton):
     * :meth:`on_packet` -- a packet arrived on the ``r->t`` channel;
     * :meth:`ready_for_message` -- whether the environment may submit
       the next message (the engine's submission policy asks this);
+    * :meth:`protocol_fields` / :meth:`set_protocol_fields`;
 
     and drive transmission by assigning :attr:`current_packet`: while
     it is not ``None`` the station offers it on every poll, modelling a
     retransmission timer that fires whenever the scheduler lets it.
+    A sender that transmits otherwise overrides :meth:`offer_packet`
+    and :meth:`commit_packet`; :meth:`on_packet_sent` is optional.
+    Overriding ``handle_input``, ``next_output``, ``perform_output``,
+    ``accept_message``, ``accept_packet``, ``snapshot``, ``restore`` or
+    ``protocol_state`` raises :class:`TypeError`.
 
     Attributes:
         uses_oracle: set True by protocols that read the channel oracle
@@ -68,6 +112,10 @@ class SenderStation(IOAutomaton):
 
     name = "A^t"
     uses_oracle = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _forbid_overrides(cls, SenderStation, _SENDER_PLUMBING)
 
     def __init__(self) -> None:
         self.oracle: Optional[ChannelOracle] = None
@@ -102,8 +150,8 @@ class SenderStation(IOAutomaton):
     # ------------------------------------------------------------------
     # The engine (DataLinkSystem) talks to stations through these four
     # methods; next_output/perform_output above are reimplemented on top
-    # of them so the generic IOAutomaton contract (used by composition
-    # and the exploration kernels) stays intact.
+    # of them so the generic IOAutomaton contract (used by composition)
+    # stays intact.
 
     def offer_packet(self) -> Optional[Packet]:
         """The packet the station would transmit now, or ``None``.
@@ -188,12 +236,23 @@ class ReceiverStation(IOAutomaton):
     Subclasses implement :meth:`on_packet`, reacting to each packet
     from the ``t->r`` channel by calling :meth:`queue_delivery` (hand a
     message to the higher layer) and/or :meth:`queue_packet` (send a
-    control packet back to the sender).  The base class replays those
-    queues as outputs, deliveries first.
+    control packet back to the sender), and :meth:`protocol_fields` /
+    :meth:`set_protocol_fields`.  The base class replays those queues
+    as outputs, deliveries first.  :meth:`on_delivered` and the
+    silent-receipt lookahead (:meth:`silent_copies` /
+    :meth:`absorb_copies`) are optional.  Overriding ``handle_input``,
+    ``next_output``, ``perform_output``, ``accept_packet``,
+    ``pop_delivery``, ``pop_control_packet``, ``has_pending_output``,
+    ``snapshot``, ``restore`` or ``protocol_state`` raises
+    :class:`TypeError`.
     """
 
     name = "A^r"
     uses_oracle = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _forbid_overrides(cls, ReceiverStation, _RECEIVER_PLUMBING)
 
     def __init__(self) -> None:
         self.oracle: Optional[ChannelOracle] = None

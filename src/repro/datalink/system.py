@@ -85,7 +85,8 @@ class DataLinkSystem:
         chan_r2t: reverse channel; same default.
         adversary: optional channel adversary consulted every step.
         sender_burst: sender polls per step (how many transmissions the
-            retransmission "timer" allows per scheduling round).
+            retransmission "timer" allows per scheduling round); at
+            least 1, or :class:`ValueError`.
         trace_mode: how much of the execution to materialise.  The
             default FULL keeps every event (required by the spec
             checkers and the replay machinery); COUNTS keeps only the
@@ -107,6 +108,8 @@ class DataLinkSystem:
         trace_mode: TraceMode = TraceMode.FULL,
         sinks: Optional[Sequence[ExecutionSink]] = None,
     ) -> None:
+        if sender_burst < 1:
+            raise ValueError(f"sender_burst must be >= 1, got {sender_burst}")
         self.sender = sender
         self.receiver = receiver
         self.chan_t2r = chan_t2r if chan_t2r is not None else NonFifoChannel(
@@ -301,8 +304,11 @@ class DataLinkSystem:
         reports :meth:`~repro.datalink.stations.SenderStation.ready_for_message`
         (the one-outstanding-message regime the paper analyses).  The
         run stops when every message has been delivered or the step
-        budget is exhausted.
+        budget is exhausted.  A negative ``max_steps`` raises
+        :class:`ValueError`.
         """
+        if max_steps < 0:
+            raise ValueError(f"max_steps must be non-negative, got {max_steps}")
         pending = list(messages)
         goal = self.receiver.messages_delivered + len(pending)
         sp_t2r_before = self.execution.sp(Direction.T2R)

@@ -10,8 +10,9 @@ This module gives them a station pair in the same currency:
   live station through an integer interface (``ready``/``offer``/
   ``commit``/``accept_*``/``pop_*``).  Every call runs the station's
   own transition, so a kernel is the automaton, not a model of it;
-  the closures only save dispatch where the station keeps the
-  base-class plumbing;
+  the closures call the protocol hooks and drain the output queues
+  directly, since the station base classes fix the plumbing between
+  them (:mod:`repro.datalink.stations`);
 * :class:`PoolOracle` answers an oracle-reading station's channel
   queries (oracle-mode flooding) from the engines' value-id pools in
   O(distinct values).
@@ -19,10 +20,6 @@ This module gives them a station pair in the same currency:
 The kernels do not memoise transitions into tables: built per run,
 tables were faster on some protocols, slower on others and moved no
 committed workload (docs/PERFORMANCE.md §5).
-
-The stock-plumbing predicates (:func:`stock_sender_plumbing` /
-:func:`stock_receiver_plumbing`) gate the exploration kernels' direct
-hook fast paths (:mod:`repro.ioa.exploration`).
 """
 
 from __future__ import annotations
@@ -33,59 +30,6 @@ from repro.ioa.actions import Direction
 
 #: Kernel-level sentinel for "no value" (value ids are >= 0).
 NO_VALUE = -1
-
-
-def stock_sender_plumbing(cls: type) -> bool:
-    """True when ``cls`` kept the base :class:`SenderStation` plumbing.
-
-    The engine dispatch surface (``offer_packet``/``commit_packet``/
-    ``accept_*``), the IOAutomaton adapters and the state-management
-    trio must all be the base-class implementations; then transitions
-    may talk to the protocol hooks directly and states restore
-    field-wise.  The exploration kernels take their direct-hook fast
-    path on this gate.
-    """
-    try:
-        from repro.datalink.stations import SenderStation
-    except ImportError:  # pragma: no cover - layering safety net
-        return False
-    return (
-        issubclass(cls, SenderStation)
-        and cls.handle_input is SenderStation.handle_input
-        and cls.next_output is SenderStation.next_output
-        and cls.perform_output is SenderStation.perform_output
-        and cls.offer_packet is SenderStation.offer_packet
-        and cls.commit_packet is SenderStation.commit_packet
-        and cls.accept_message is SenderStation.accept_message
-        and cls.accept_packet is SenderStation.accept_packet
-        and cls.snapshot is SenderStation.snapshot
-        and cls.restore is SenderStation.restore
-        and cls.protocol_state is SenderStation.protocol_state
-    )
-
-
-def stock_receiver_plumbing(cls: type) -> bool:
-    """True when ``cls`` kept the base :class:`ReceiverStation` plumbing.
-
-    See :func:`stock_sender_plumbing`; the receiver surface adds the
-    output-queue discipline (``pop_delivery``/``pop_control_packet``).
-    """
-    try:
-        from repro.datalink.stations import ReceiverStation
-    except ImportError:  # pragma: no cover - layering safety net
-        return False
-    return (
-        issubclass(cls, ReceiverStation)
-        and cls.handle_input is ReceiverStation.handle_input
-        and cls.next_output is ReceiverStation.next_output
-        and cls.perform_output is ReceiverStation.perform_output
-        and cls.pop_delivery is ReceiverStation.pop_delivery
-        and cls.pop_control_packet is ReceiverStation.pop_control_packet
-        and cls.accept_packet is ReceiverStation.accept_packet
-        and cls.snapshot is ReceiverStation.snapshot
-        and cls.restore is ReceiverStation.restore
-        and cls.protocol_state is ReceiverStation.protocol_state
-    )
 
 
 class ValueIntern:
@@ -175,6 +119,8 @@ class InterpretedSender:
     is built as bound closures rather than methods: the batched
     engines call these millions of times, and a closure with the
     station's methods pre-bound removes a dispatch level per call.
+    The ``accept_*`` closures call the ``on_send_msg``/``on_packet``
+    hooks, which is all the fixed ``accept_*`` plumbing does.
     ``offer`` keeps an identity memo -- stations re-offer the *same*
     packet object across retransmissions, so the common case returns
     the cached value id without touching the intern table.
@@ -183,12 +129,12 @@ class InterpretedSender:
     alone (stock ``commit_packet`` and the base no-op
     ``on_packet_sent``).
 
-    Each closure is additionally *specialised* when the station keeps
-    the base-class version of the plumbing method behind it (checked by
-    ``is``-identity): the base bodies are one or two attribute
-    operations, so the closure performs them directly on the station
-    instead of paying a method call to reach them.  Overridden
-    plumbing (the Go-Back-N and window senders) is called as is.
+    ``offer`` and ``commit`` are additionally *specialised* when the
+    station keeps the base-class ``offer_packet``/``commit_packet``
+    (checked by ``is``-identity): the base bodies are one or two
+    attribute operations, so the closure performs them directly on the
+    station instead of paying a method call to reach them.  An override
+    (the Go-Back-N and window senders) is called as is.
     """
 
     __slots__ = (
@@ -207,28 +153,14 @@ class InterpretedSender:
         cls = type(station)
         vals = values.values
         intern = values.intern
+        on_send_msg = station.on_send_msg
+        on_packet = station.on_packet
 
-        if cls.accept_message is SenderStation.accept_message:
-            on_send_msg = station.on_send_msg
+        def accept_message(mvid: int) -> None:
+            on_send_msg(vals[mvid])
 
-            def accept_message(mvid: int) -> None:
-                on_send_msg(vals[mvid])
-        else:
-            accept_msg = station.accept_message
-
-            def accept_message(mvid: int) -> None:
-                accept_msg(vals[mvid])
-
-        if cls.accept_packet is SenderStation.accept_packet:
-            on_packet = station.on_packet
-
-            def accept_packet(vid: int) -> None:
-                on_packet(vals[vid])
-        else:
-            accept_pkt = station.accept_packet
-
-            def accept_packet(vid: int) -> None:
-                accept_pkt(vals[vid])
+        def accept_packet(vid: int) -> None:
+            on_packet(vals[vid])
 
         offered = _SENTINEL
         offered_vid = NO_VALUE
@@ -298,124 +230,80 @@ class InterpretedReceiver:
     """Receiver kernel over a live station; see
     :class:`InterpretedSender` for the closure-based construction.
 
-    ``pop_delivery``/``pop_control`` keep single-entry identity memos:
-    protocols emit runs of the same (interned) message body and ack
-    object, so consecutive pops usually resolve their value id without
-    an intern-table probe.
+    ``accept`` calls the ``on_packet`` hook.  :attr:`queues` exposes
+    the station's two output deques, so engines test pending output
+    by deque truthiness without any call, and ``pop_delivery``/
+    ``pop_control`` drain them directly -- performing the fixed
+    ``pop_*`` plumbing's popleft-and-count inline.  Both pops keep
+    single-entry identity memos: protocols emit runs of the same
+    (interned) message body and ack object, so consecutive pops
+    usually resolve their value id without an intern-table probe.
 
-    When the station keeps the base-class queue plumbing
-    (``has_pending_output``/``pop_delivery``/``pop_control_packet``,
-    ``is``-checked), :attr:`queues` exposes the station's real deques
-    so engines can test emptiness without any call, and the pop
-    closures drain those deques directly -- performing the base
-    bodies' popleft-and-count inline.
-
-    With that plumbing and a stock ``accept_packet``, a station that
-    overrides ``silent_copies`` also gets ``silent(vid)`` and
-    ``absorb(vid, count)``: its silent-receipt lookahead and bulk
-    receipt in value-id space.  Both are ``None`` otherwise.
+    A station that overrides ``silent_copies`` also gets
+    ``silent(vid)`` and ``absorb(vid, count)``: its silent-receipt
+    lookahead and bulk receipt in value-id space.  Both are ``None``
+    otherwise.
     """
 
     __slots__ = (
         "station", "queues",
-        "accept", "has_pending", "pop_delivery", "pop_control",
+        "accept", "pop_delivery", "pop_control",
         "silent", "absorb",
     )
 
     def __init__(self, station, values: ValueIntern, oracle=None) -> None:
-        from repro.datalink.stations import NO_OUTPUT, ReceiverStation
+        from repro.datalink.stations import ReceiverStation
 
         self.station = station
         if station.uses_oracle:
             station.oracle = oracle
-        self.has_pending = station.has_pending_output
         cls = type(station)
         vals = values.values
         intern = values.intern
+        on_packet = station.on_packet
 
-        if cls.accept_packet is ReceiverStation.accept_packet:
-            on_packet = station.on_packet
-
-            def accept(vid: int) -> None:
-                on_packet(vals[vid])
-        else:
-            accept_pkt = station.accept_packet
-
-            def accept(vid: int) -> None:
-                accept_pkt(vals[vid])
+        def accept(vid: int) -> None:
+            on_packet(vals[vid])
 
         last_message = _SENTINEL
         last_message_vid = NO_VALUE
         last_packet = _SENTINEL
         last_packet_vid = NO_VALUE
 
-        stock_queues = (
-            cls.has_pending_output is ReceiverStation.has_pending_output
-            and cls.pop_delivery is ReceiverStation.pop_delivery
-            and cls.pop_control_packet is ReceiverStation.pop_control_packet
+        deliveries = station._deliveries
+        outgoing = station._outgoing
+        self.queues = (deliveries, outgoing)
+        hook = (
+            None
+            if cls.on_delivered is ReceiverStation.on_delivered
+            else station.on_delivered
         )
-        if stock_queues:
-            deliveries = station._deliveries
-            outgoing = station._outgoing
-            self.queues = (deliveries, outgoing)
-            hook = (
-                None
-                if cls.on_delivered is ReceiverStation.on_delivered
-                else station.on_delivered
-            )
 
-            def pop_delivery() -> int:
-                # Base body inlined: popleft, count, on_delivered hook.
-                nonlocal last_message, last_message_vid
-                if not deliveries:
-                    return NO_VALUE
-                message = deliveries.popleft()
-                station.messages_delivered += 1
-                if hook is not None:
-                    hook(message)
-                if message is not last_message:
-                    last_message = message
-                    last_message_vid = intern(message)
-                return last_message_vid
+        def pop_delivery() -> int:
+            # Base body inlined: popleft, count, on_delivered hook.
+            nonlocal last_message, last_message_vid
+            if not deliveries:
+                return NO_VALUE
+            message = deliveries.popleft()
+            station.messages_delivered += 1
+            if hook is not None:
+                hook(message)
+            if message is not last_message:
+                last_message = message
+                last_message_vid = intern(message)
+            return last_message_vid
 
-            def pop_control() -> int:
-                nonlocal last_packet, last_packet_vid
-                packet = outgoing.popleft() if outgoing else None
-                if packet is not last_packet:
-                    last_packet = packet
-                    last_packet_vid = intern(packet)
-                return last_packet_vid
-        else:
-            self.queues = None
-            pop_del = station.pop_delivery
-
-            def pop_delivery() -> int:
-                nonlocal last_message, last_message_vid
-                message = pop_del()
-                if message is NO_OUTPUT:
-                    return NO_VALUE
-                if message is not last_message:
-                    last_message = message
-                    last_message_vid = intern(message)
-                return last_message_vid
-
-            pop_ctl = station.pop_control_packet
-
-            def pop_control() -> int:
-                nonlocal last_packet, last_packet_vid
-                packet = pop_ctl()
-                if packet is not last_packet:
-                    last_packet = packet
-                    last_packet_vid = intern(packet)
-                return last_packet_vid
+        def pop_control() -> int:
+            nonlocal last_packet, last_packet_vid
+            packet = outgoing.popleft() if outgoing else None
+            if packet is not last_packet:
+                last_packet = packet
+                last_packet_vid = intern(packet)
+            return last_packet_vid
 
         silent: Optional[Callable[[int], int]] = None
         absorb: Optional[Callable[[int, int], None]] = None
-        if (
-            stock_queues
-            and cls.accept_packet is ReceiverStation.accept_packet
-            and cls.silent_copies is not ReceiverStation.silent_copies
-        ):
+        if cls.silent_copies is not ReceiverStation.silent_copies:
             silent_copies = station.silent_copies
             absorb_copies = station.absorb_copies
 

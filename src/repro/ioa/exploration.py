@@ -35,8 +35,8 @@ this blow-up), so the inner loop is engineered to touch nothing heavier
 than small integers:
 
 * every station state is **interned** the first time it is seen: its
-  ``protocol_state()`` key maps to a small int, alongside one
-  representative ``snapshot()`` used to restore the working automaton;
+  ``protocol_state()`` key maps to a small int, and the key alone
+  restores the working station;
 * every packet value and every channel value-*set* is interned the same
   way, with set-extension (``set | {value}``) memoised on
   ``(set_id, value_id)`` pairs so a set is hashed at most once;
@@ -75,7 +75,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.ioa.actions import ActionType, Direction, receive_pkt, send_msg
 from repro.ioa.automaton import IOAutomaton
 
 # Packed-configuration layout: fields of _FIELD_BITS each -- sender
@@ -132,10 +131,10 @@ class ExplorationResult:
     """Outcome of :func:`explore_station_states`.
 
     Attributes:
-        sender_states: distinct sender snapshots visited (``>= k_t``
+        sender_states: distinct sender protocol states visited (``>= k_t``
             restricted to the explored region; an over-approximation of
             the reachable count under real channels).
-        receiver_states: distinct receiver snapshots visited.
+        receiver_states: distinct receiver protocol states visited.
         pair_count: number of distinct (sender, receiver) state pairs.
         configurations: number of abstract configurations visited.
         truncated: True when the exploration hit ``max_configurations``
@@ -191,18 +190,21 @@ class _InternedSearch:
     """All interning tables and memoised transitions of one exploration.
 
     Station states are interned by their ``protocol_state()`` key: two
-    snapshots with equal keys behave identically forever (that is the
+    stations with equal keys behave identically forever (that is the
     key's contract, and what the Theorem 2.1 counting relies on), so
-    one representative snapshot per key suffices to generate successors
-    and every transition needs to run on the real automaton only once
-    per distinct ``(state id, input id)`` pair.
+    the key itself restores the working station and every transition
+    needs to run on the real automaton only once per distinct
+    ``(state id, input id)`` pair.  Transitions call the protocol hooks
+    and the output queues directly, and take the sender's output
+    through ``offer_packet``/``commit_packet``; the station base
+    classes fix the rest of the plumbing
+    (:mod:`repro.datalink.stations`).
     """
 
     __slots__ = (
         "sender", "receiver", "alphabet",
-        "sender_fast", "receiver_fast",
-        "sender_ids", "sender_snaps", "sender_keys",
-        "receiver_ids", "receiver_snaps", "receiver_keys",
+        "sender_ids", "sender_keys",
+        "receiver_ids", "receiver_keys",
         "value_ids", "values", "value_id_by_objid", "_value_refs",
         "set_ids", "set_members", "set_extend",
         "ready_memo", "msg_memo", "out_memo", "sender_rcv_memo",
@@ -216,32 +218,22 @@ class _InternedSearch:
         receiver: IOAutomaton,
         alphabet: List[Hashable],
     ) -> None:
+        from repro.datalink.stations import ReceiverStation, SenderStation
+
+        for station, base in ((sender, SenderStation),
+                              (receiver, ReceiverStation)):
+            if not isinstance(station, base):
+                raise TypeError(
+                    f"exploration needs a {base.__name__}, got "
+                    f"{type(station).__name__}"
+                )
         self.sender = sender.clone()
         self.receiver = receiver.clone()
         self.alphabet = alphabet
-        # Direct-hook fast path (same gating idea as the engine's
-        # COUNTS-mode dispatch): when a station class keeps the base
-        # SenderStation/ReceiverStation plumbing, transitions talk to
-        # the protocol hooks (`on_send_msg`, `on_packet`, the output
-        # queues) directly -- no Action objects, and restores assign
-        # `protocol_fields` instead of rebuilding full snapshots.
-        # Any override of the plumbing falls back to the faithful path.
-        # The predicates live beside the trial engines' integer kernels
-        # (repro.ioa.compile), which make the same is-identity checks
-        # per method.
-        from repro.ioa.compile import (
-            stock_receiver_plumbing,
-            stock_sender_plumbing,
-        )
-
-        self.sender_fast = stock_sender_plumbing(type(self.sender))
-        self.receiver_fast = stock_receiver_plumbing(type(self.receiver))
-        # state id -> representative snapshot / protocol key
+        # state id -> protocol key
         self.sender_ids: Dict[Hashable, int] = {}
-        self.sender_snaps: List[Hashable] = []
         self.sender_keys: List[Hashable] = []
         self.receiver_ids: Dict[Hashable, int] = {}
-        self.receiver_snaps: List[Hashable] = []
         self.receiver_keys: List[Hashable] = []
         # packet values and value sets
         self.value_ids: Dict[Hashable, int] = {}
@@ -275,68 +267,34 @@ class _InternedSearch:
             )
         return next_id
 
-    def intern_sender(self, automaton: IOAutomaton) -> int:
-        key = automaton.protocol_state()
+    def intern_sender(self, key: Hashable) -> int:
+        """Id of the sender state with protocol-state ``key``."""
         sid = self.sender_ids.get(key)
         if sid is None:
             sid = self._guard(len(self.sender_keys))
             self.sender_ids[key] = sid
             self.sender_keys.append(key)
-            # In fast mode the protocol-state key itself restores the
-            # station (``(current_packet, fields)``), so no snapshot
-            # is taken.
-            self.sender_snaps.append(
-                None if self.sender_fast else automaton.snapshot()
-            )
             self.on_new_sender(sid)
         return sid
 
-    def _intern_sender_key(self, key: Hashable) -> int:
-        """Fast-mode interning of an already-built protocol-state key."""
-        sid = self.sender_ids.get(key)
-        if sid is None:
-            sid = self._guard(len(self.sender_keys))
-            self.sender_ids[key] = sid
-            self.sender_keys.append(key)
-            self.sender_snaps.append(None)
-            self.on_new_sender(sid)
-        return sid
-
-    def intern_receiver(self, automaton: IOAutomaton) -> int:
-        key = automaton.protocol_state()
+    def intern_receiver(self, key: Hashable) -> int:
+        """Id of the receiver state with protocol-state ``key``."""
         rid = self.receiver_ids.get(key)
         if rid is None:
             rid = self._guard(len(self.receiver_keys))
             self.receiver_ids[key] = rid
             self.receiver_keys.append(key)
-            self.receiver_snaps.append(
-                None if self.receiver_fast else automaton.snapshot()
-            )
             self.on_new_receiver(rid)
         return rid
 
-    def _intern_receiver_key(self, key: Hashable) -> int:
-        rid = self.receiver_ids.get(key)
-        if rid is None:
-            rid = self._guard(len(self.receiver_keys))
-            self.receiver_ids[key] = rid
-            self.receiver_keys.append(key)
-            self.receiver_snaps.append(None)
-            self.on_new_receiver(rid)
-        return rid
-
-    def _load_sender(self, sid: int) -> IOAutomaton:
+    def _load_sender(self, sid: int):
         """Put the working sender into interned state ``sid``."""
         sender = self.sender
-        if self.sender_fast:
-            # The key is (current_packet, protocol_fields); bookkeeping
-            # counters (packets_sent) are excluded from protocol_state
-            # by contract and cannot influence behaviour.
-            current_packet, fields = self.sender_keys[sid]
-            sender.current_packet = current_packet
-            sender.set_protocol_fields(fields)
-        else:
-            sender.restore(self.sender_snaps[sid])
+        # The key is (current_packet, protocol_fields); bookkeeping
+        # counters (packets_sent) are excluded from protocol_state by
+        # contract and cannot influence behaviour.
+        sender.current_packet, fields = self.sender_keys[sid]
+        sender.set_protocol_fields(fields)
         return sender
 
     def intern_value(self, value: Hashable) -> int:
@@ -386,9 +344,7 @@ class _InternedSearch:
     def sender_ready(self, sid: int) -> bool:
         ready = self.ready_memo.get(sid)
         if ready is None:
-            self._load_sender(sid)
-            probe = getattr(self.sender, "ready_for_message", None)
-            ready = True if probe is None else bool(probe())
+            ready = bool(self._load_sender(sid).ready_for_message())
             self.ready_memo[sid] = ready
         return ready
 
@@ -407,14 +363,8 @@ class _InternedSearch:
         if nid is None:
             self.memo_misses += 1
             sender = self._load_sender(sid)
-            if self.sender_fast:
-                sender.on_send_msg(self.alphabet[msg_index])
-                nid = self._intern_sender_key(
-                    (sender.current_packet, sender.protocol_fields())
-                )
-            else:
-                sender.handle_input(send_msg(self.alphabet[msg_index]))
-                nid = self.intern_sender(sender)
+            sender.on_send_msg(self.alphabet[msg_index])
+            nid = self.intern_sender(sender.protocol_state())
             self.msg_memo[key] = nid
         else:
             self.memo_hits += 1
@@ -426,32 +376,16 @@ class _InternedSearch:
             self.memo_hits += 1
             return self.out_memo[sid]
         self.memo_misses += 1
-        if self.sender_fast:
-            # The offered packet is the key's current_packet field; a
-            # quiescent sender needs no automaton work at all.
-            packet = self.sender_keys[sid][0]
-            if packet is None:
-                transition = None
-            else:
-                sender = self._load_sender(sid)
-                sender.on_packet_sent(packet)
-                transition = (
-                    self._intern_sender_key(
-                        (sender.current_packet, sender.protocol_fields())
-                    ),
-                    self.intern_value(packet),
-                )
+        sender = self._load_sender(sid)
+        packet = sender.offer_packet()
+        if packet is None:
+            transition = None
         else:
-            sender = self._load_sender(sid)
-            output = sender.next_output()
-            if output is None or output.type is not ActionType.SEND_PKT:
-                transition = None
-            else:
-                sender.perform_output(output)
-                transition = (
-                    self.intern_sender(sender),
-                    self.intern_value(output.packet),
-                )
+            sender.commit_packet(packet)
+            transition = (
+                self.intern_sender(sender.protocol_state()),
+                self.intern_value(packet),
+            )
         self.out_memo[sid] = transition
         return transition
 
@@ -461,16 +395,8 @@ class _InternedSearch:
         if nid is None:
             self.memo_misses += 1
             sender = self._load_sender(sid)
-            if self.sender_fast:
-                sender.on_packet(self.values[value_id])
-                nid = self._intern_sender_key(
-                    (sender.current_packet, sender.protocol_fields())
-                )
-            else:
-                sender.handle_input(
-                    receive_pkt(Direction.R2T, self.values[value_id])
-                )
-                nid = self.intern_sender(sender)
+            sender.on_packet(self.values[value_id])
+            nid = self.intern_sender(sender.protocol_state())
             self.sender_rcv_memo[key] = nid
         else:
             self.memo_hits += 1
@@ -500,59 +426,43 @@ class _InternedSearch:
         receiver = self.receiver
         emitted: List[int] = []
         delivered = 0
-        if self.receiver_fast:
-            deliveries_key, outgoing_key, fields = self.receiver_keys[rid]
-            deliveries = receiver._deliveries
-            outgoing = receiver._outgoing
-            deliveries.clear()
-            outgoing.clear()
-            if deliveries_key:
-                deliveries.extend(deliveries_key)
-            if outgoing_key:
-                outgoing.extend(outgoing_key)
-            receiver.set_protocol_fields(fields)
-            receiver.on_packet(self.values[value_id])
-            by_objid = self.value_id_by_objid
-            # Drain exactly as the base plumbing would: deliveries take
-            # priority, re-checked after every hook (on_delivered may
-            # queue more output).
-            while True:
-                if deliveries:
-                    delivered += 1
-                    receiver.messages_delivered += 1
-                    receiver.on_delivered(deliveries.popleft())
-                elif outgoing:
-                    packet = outgoing.popleft()
-                    vid = by_objid.get(id(packet))
-                    if vid is None:
-                        vid = self.intern_value(packet)
-                        by_objid[id(packet)] = vid
-                        self._value_refs.append(packet)
-                    emitted.append(vid)
-                else:
-                    break
-            # Queues are empty after the flush, so the protocol-state
-            # key is ((), (), fields).
-            memo = (
-                self._intern_receiver_key(((), (), receiver.protocol_fields())),
-                tuple(emitted),
-                delivered,
-            )
-        else:
-            receiver.restore(self.receiver_snaps[rid])
-            receiver.handle_input(
-                receive_pkt(Direction.T2R, self.values[value_id])
-            )
-            while True:
-                output = receiver.next_output()
-                if output is None:
-                    break
-                receiver.perform_output(output)
-                if output.type is ActionType.SEND_PKT:
-                    emitted.append(self.intern_value(output.packet))
-                elif output.type is ActionType.RECEIVE_MSG:
-                    delivered += 1
-            memo = (self.intern_receiver(receiver), tuple(emitted), delivered)
+        deliveries_key, outgoing_key, fields = self.receiver_keys[rid]
+        deliveries = receiver._deliveries
+        outgoing = receiver._outgoing
+        deliveries.clear()
+        outgoing.clear()
+        if deliveries_key:
+            deliveries.extend(deliveries_key)
+        if outgoing_key:
+            outgoing.extend(outgoing_key)
+        receiver.set_protocol_fields(fields)
+        receiver.on_packet(self.values[value_id])
+        by_objid = self.value_id_by_objid
+        # Drain exactly as the base plumbing would: deliveries take
+        # priority, re-checked after every hook (on_delivered may
+        # queue more output).
+        while True:
+            if deliveries:
+                delivered += 1
+                receiver.messages_delivered += 1
+                receiver.on_delivered(deliveries.popleft())
+            elif outgoing:
+                packet = outgoing.popleft()
+                vid = by_objid.get(id(packet))
+                if vid is None:
+                    vid = self.intern_value(packet)
+                    by_objid[id(packet)] = vid
+                    self._value_refs.append(packet)
+                emitted.append(vid)
+            else:
+                break
+        # Queues are empty after the flush, so the protocol-state key
+        # is ((), (), fields).
+        memo = (
+            self.intern_receiver(((), (), receiver.protocol_fields())),
+            tuple(emitted),
+            delivered,
+        )
         self.receiver_rcv_memo[key] = memo
         return memo
 
@@ -641,6 +551,12 @@ def explore_station_states(
 
     Returns:
         An :class:`ExplorationResult` with the visited station states.
+
+    Raises:
+        TypeError: ``sender`` is not a
+            :class:`~repro.datalink.stations.SenderStation` or
+            ``receiver`` not a
+            :class:`~repro.datalink.stations.ReceiverStation`.
 
     This runs the one level-synchronous BFS of
     :mod:`repro.ioa.exploration_parallel`, truncated at exactly

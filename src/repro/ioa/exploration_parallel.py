@@ -144,8 +144,7 @@ def portable_digest(portable: Tuple) -> int:
     tables -- one that does not track parents -- reports the same hit
     digests as one that does.
     """
-    skey, _ssnap, rkey, _rsnap, t2r_values, r2t_values, injected, delivered \
-        = portable
+    skey, rkey, t2r_values, r2t_values, injected, delivered = portable
     return (
         _stable_digest(skey)
         + 3 * _stable_digest(rkey)
@@ -283,16 +282,13 @@ class _BFS:
         ) % _DIGEST_MOD
 
     def _portable(self, cfg: int) -> Tuple:
-        """Id-free encoding of ``cfg``: the interned table objects."""
+        """Id-free encoding of ``cfg``: ``(sender key, receiver key,
+        t->r values, r->t values, injected, delivered)``."""
         s = self.search
         values = s.values
-        sid = cfg & _FIELD_MASK
-        rid = (cfg >> _S_RID) & _FIELD_MASK
         return (
-            s.sender_keys[sid],
-            s.sender_snaps[sid],
-            s.receiver_keys[rid],
-            s.receiver_snaps[rid],
+            s.sender_keys[cfg & _FIELD_MASK],
+            s.receiver_keys[(cfg >> _S_RID) & _FIELD_MASK],
             tuple(values[v]
                   for v in s.set_members[(cfg >> _S_T2R) & _FIELD_MASK]),
             tuple(values[v]
@@ -302,13 +298,12 @@ class _BFS:
         )
 
     def _canonical(self, cfg: int) -> Tuple:
-        """Snapshot-free canonical form, the hit target's tiebreaker.
+        """Order-free canonical form, the hit target's tiebreaker.
 
-        Representative snapshots vary with the path that reached a
-        state first, so they are excluded; everything else is content.
+        Channel-set orderings vary with the order in which values were
+        interned, so the sets are sorted; everything else is content.
         """
-        skey, _ssnap, rkey, _rsnap, t2r, r2t, injected, delivered \
-            = self._portable(cfg)
+        skey, rkey, t2r, r2t, injected, delivered = self._portable(cfg)
         return (
             skey, rkey,
             tuple(sorted(t2r, key=repr)), tuple(sorted(r2t, key=repr)),
@@ -339,8 +334,8 @@ class _BFS:
         channels; interning it first gives its stations id 0.
         """
         s = self.search
-        sid = s.intern_sender(s.sender)
-        cfg = sid | (s.intern_receiver(s.receiver) << _S_RID)
+        sid = s.intern_sender(s.sender.protocol_state())
+        cfg = sid | (s.intern_receiver(s.receiver.protocol_state()) << _S_RID)
         self.seen.add(cfg)
         self.pending.append(cfg)
         if self.track_parents:
@@ -562,8 +557,7 @@ class _BFS:
                     # 1. The environment injects a new message.  The
                     # environment is the paper's one-outstanding-message
                     # regime: it submits only when the sender signals
-                    # readiness (``ready_for_message``; automata without
-                    # the attribute accept submissions at any time).
+                    # readiness (``ready_for_message``).
                     if (cfg & _INJ_FIELD) < inj_limit:
                         deltas = inject_get(sid)
                         if deltas is None:

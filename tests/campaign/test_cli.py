@@ -161,6 +161,34 @@ def test_negative_backlog_fails_the_run(cli_runs, tmp_path):
     assert "backlog must be non-negative" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"n": -3}, "n must be non-negative"),
+        ({"n": 2, "max_steps": -5}, "max_steps must be non-negative"),
+        ({"n": 2, "sender_burst": 0}, "sender_burst must be >= 1"),
+    ],
+    ids=["n", "max_steps", "sender_burst"],
+)
+def test_out_of_range_adversary_cell_fails_the_run(cli_runs, tmp_path,
+                                                   params, message):
+    spec = tmp_path / "bad-adversary.json"
+    spec.write_text(json.dumps({
+        "name": "bad-adversary",
+        "groups": [{
+            "cell": "adversary",
+            "label": "adversary",
+            "grid": {"protocol": ["sequence"]},
+            "params": params,
+            "metrics": ["delivered", "completed"],
+        }],
+    }), encoding="utf-8")
+    result = run_cli(["campaign", str(spec), "--no-cache"], tmp_path, tmp_path)
+    assert result.returncode == 1
+    assert "overall: PASS" not in result.stdout
+    assert message in result.stderr
+
+
 def test_list_prints_registries(cli_runs, tmp_path):
     result = run_cli(["list"], tmp_path, tmp_path)
     assert result.returncode == 0

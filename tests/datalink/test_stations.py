@@ -4,6 +4,7 @@ import pytest
 
 from repro.channels.packets import Packet
 from repro.datalink.sequence import SequenceReceiver, SequenceSender
+from repro.datalink.stations import ReceiverStation, SenderStation
 from repro.ioa.actions import (
     ActionType,
     Direction,
@@ -153,3 +154,52 @@ class TestProtocolState:
         state = receiver.protocol_state()
         assert receiver.messages_delivered == 1
         assert "1" not in str(state) or state[-1] == (1,)
+
+
+FIXED_BOTH = [
+    "handle_input", "next_output", "perform_output", "accept_packet",
+    "snapshot", "restore", "protocol_state",
+]
+
+
+def _subclass(base, name):
+    """Define a subclass of ``base`` that overrides ``name``."""
+    return type("Custom", (base,), {name: lambda self, *args: None})
+
+
+class TestFixedPlumbing:
+    """The plumbing the exploration and the batch engines rely on is
+    fixed at class creation; the protocol hooks stay open."""
+
+    @pytest.mark.parametrize("name", FIXED_BOTH + ["accept_message"])
+    def test_sender_override_raises(self, name):
+        with pytest.raises(TypeError, match=rf"SenderStation\.{name}\b"):
+            _subclass(SenderStation, name)
+
+    @pytest.mark.parametrize(
+        "name",
+        FIXED_BOTH + [
+            "pop_delivery", "pop_control_packet", "has_pending_output",
+        ],
+    )
+    def test_receiver_override_raises(self, name):
+        with pytest.raises(TypeError, match=rf"ReceiverStation\.{name}\b"):
+            _subclass(ReceiverStation, name)
+
+    def test_override_through_a_mixin_raises(self):
+        class Mixin:
+            def pop_delivery(self):
+                return None
+
+        with pytest.raises(TypeError, match="pop_delivery"):
+            type("Custom", (Mixin, ReceiverStation), {})
+
+    @pytest.mark.parametrize(
+        "name", ["offer_packet", "commit_packet", "on_packet_sent"]
+    )
+    def test_sender_hooks_stay_overridable(self, name):
+        assert issubclass(_subclass(SenderStation, name), SenderStation)
+
+    def test_receiver_lookahead_stays_overridable(self):
+        cls = _subclass(ReceiverStation, "silent_copies")
+        assert issubclass(cls, ReceiverStation)

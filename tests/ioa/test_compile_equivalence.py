@@ -3,7 +3,7 @@
 The batched engines (:mod:`repro.core.trials`) drive the stations
 through the integer kernels of :mod:`repro.ioa.compile`
 (``InterpretedSender`` / ``InterpretedReceiver``), whose closures
-inline the base-class plumbing wherever a station keeps it.  The
+call the protocol hooks and drain the output queues directly.  The
 engines are only sound if a kernel is observationally identical to
 the station it wraps, so this suite runs randomized closed-loop
 schedules (message submissions, transmissions, non-FIFO deliveries in

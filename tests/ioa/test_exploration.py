@@ -1,7 +1,12 @@
 """Unit tests for reachable-state exploration (Theorem 2.1 machinery)."""
 
+import pytest
+
 from repro.datalink.alternating_bit import make_alternating_bit
+from repro.datalink.gobackn import make_gobackn
 from repro.datalink.sequence import make_sequence_protocol
+from repro.datalink.window import make_window_protocol
+from repro.ioa.automaton import IOAutomaton
 from repro.ioa.exploration import explore_station_states
 
 
@@ -93,3 +98,54 @@ class TestAlphabet:
         )
         # Pending message bodies distinguish sender states.
         assert binary.k_t >= unary.k_t
+
+
+class TestWindowSenders:
+    """Senders that override ``offer_packet``/``commit_packet`` are
+    explored through those methods."""
+
+    @pytest.mark.parametrize(
+        "factory, expected",
+        [
+            (lambda: make_gobackn(3), (21, 4, 46, 140)),
+            (lambda: make_window_protocol(2), (23, 7, 52, 75)),
+        ],
+        ids=["gobackn-3", "window-2"],
+    )
+    def test_counts(self, factory, expected):
+        result = explore_station_states(*factory(), ["m"], max_messages=3)
+        assert not result.truncated
+        assert (
+            result.k_t, result.k_r, result.pair_count, result.configurations
+        ) == expected
+
+
+class Idle(IOAutomaton):
+    """An automaton with no outputs that is not a station."""
+
+    def handle_input(self, action):
+        pass
+
+    def next_output(self):
+        return None
+
+    def perform_output(self, action):
+        pass
+
+    def snapshot(self):
+        return ()
+
+    def restore(self, snap):
+        pass
+
+
+class TestNonStations:
+    def test_non_station_sender_rejected(self):
+        _, receiver = make_alternating_bit()
+        with pytest.raises(TypeError, match="SenderStation"):
+            explore_station_states(Idle(), receiver, ["m"])
+
+    def test_non_station_receiver_rejected(self):
+        sender, _ = make_alternating_bit()
+        with pytest.raises(TypeError, match="ReceiverStation"):
+            explore_station_states(sender, Idle(), ["m"])

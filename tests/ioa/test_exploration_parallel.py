@@ -90,8 +90,8 @@ class TestSerialParallelEquivalence:
         ids=["eager", "gobackn", "modular_sequence"],
     )
     def test_stock_pairs_match_serial(self, factory):
-        """Pairs off the stock-plumbing fast path (Go-Back-N's own
-        plumbing) and broken receivers explore identically too."""
+        """Go-Back-N (its own offer/commit) and broken receivers
+        explore identically on both entries too."""
         serial = explore_serial(factory, ["a", "b"], 2)
         assert not serial.truncated
         parallel = explore_parallel(factory, ["a", "b"], 2)
