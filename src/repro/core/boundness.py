@@ -23,7 +23,8 @@ This module measures boundness empirically -- sample semi-valid
 configurations by running the protocol through adversarial prefixes,
 compute each extension, and take the maximum ``sp^{t->r}(beta)`` --
 and verifies the Theorem 2.1 inequality against the station state
-counts enumerated by :func:`repro.ioa.exploration.explore_station_states`.
+counts enumerated by :func:`repro.ioa.exploration.explore_station_states`
+over the states reachable without a forged delivery.
 """
 
 from __future__ import annotations
@@ -158,7 +159,10 @@ class Theorem21Verdict:
     Attributes:
         report: the boundness samples the verdict was measured on.
         exploration: the station-state enumeration giving ``k_t``/``k_r``.
-        holds: ``boundness <= state_product``.
+        holds: ``boundness <= state_product`` over an exploration that
+            was not truncated.  A truncated search covers only part of
+            the region, so its product bounds nothing and the verdict
+            is false.
     """
 
     report: BoundnessReport
@@ -184,23 +188,34 @@ def verify_theorem21(
 ) -> Theorem21Verdict:
     """Measure boundness and compare it to the station state product.
 
-    The exploration enumerates station states under a set-abstraction
-    of the channels (an over-approximation of reachability, see
-    :mod:`repro.ioa.exploration`), so ``state_product`` is an upper
-    bound on the true ``k_t * k_r`` -- the safe direction for checking
-    the theorem's inequality.
+    The exploration enumerates the station states reachable without a
+    forged delivery, under a set-abstraction of the channels (see
+    :mod:`repro.ioa.exploration`).  Theorem 2.1's pigeonhole ranges
+    over station pairs along ``alpha . send_msg(m) . beta`` up to the
+    pending message's delivery, where ``rm <= sm`` always holds, so
+    every pair it counts lies in that region.  The abstraction
+    over-approximates reachability, so an exhaustive search's
+    ``state_product`` is an upper bound on the true ``k_t * k_r`` --
+    the safe direction for checking the theorem's inequality.  A
+    truncated search gives no such bound, and its verdict does not
+    hold.
+
+    ``exploration_kwargs`` sets the message and configuration budgets;
+    the forgery-free region is not optional here.
     """
     report = measure_boundness(
         pair_factory, message=message, **(boundness_kwargs or {})
     )
     sender, receiver = pair_factory()
     exploration = explore_station_states(
-        sender, receiver, [message], **(exploration_kwargs or {})
+        sender, receiver, [message], forgery_free=True,
+        **(exploration_kwargs or {})
     )
     return Theorem21Verdict(
         report=report,
         exploration=exploration,
-        holds=report.boundness <= exploration.state_product,
+        holds=(not exploration.truncated
+               and report.boundness <= exploration.state_product),
     )
 
 

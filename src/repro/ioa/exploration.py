@@ -26,6 +26,29 @@ The exploration is exact (not an abstraction) in one common special
 case: protocols whose stations ignore duplicate receipts, such as the
 alternating-bit protocol, behave identically under multisets and sets.
 
+The forgery-free region
+-----------------------
+
+The abstraction also lets the adversary deliver a value more often than
+the environment submitted messages, so the receiver can deliver
+messages nobody sent: a DL1 forgery.  For protocols that ride on
+duplicates (capacity flooding) the states after a forgery are
+unbounded, and the search never ends.  Theorem 2.1 does not need them.
+Its pigeonhole counts station pairs along an optimal-channel extension
+``beta`` of a semi-valid execution ``alpha . send_msg(m)``, up to the
+pending message's delivery; ``alpha`` satisfies DL1 and ``beta`` stops
+at that delivery, so ``rm <= sm`` holds at every point the proof
+counts.  ``explore_station_states(..., forgery_free=True)`` explores
+exactly those configurations: it tracks the messages delivered
+(saturating at ``max_messages + 1``) and drops every delivery that
+takes that count past the messages injected.  Only a delivery to the
+receiver raises the count, so that one move class is checked.  The
+prune is sound for any alphabet (delivered > injected breaks DL1
+whatever the messages are) and exact for a one-letter alphabet, where
+DL1 is ``rm <= sm``.  :func:`repro.core.boundness.verify_theorem21`
+always explores this region; E2, the checker and the campaign cells
+keep the full one, because they exist to find forgeries.
+
 Interned, packed search
 -----------------------
 
@@ -534,6 +557,8 @@ def explore_station_states(
     message_alphabet: Iterable[Hashable],
     max_messages: int = 2,
     max_configurations: int = 200_000,
+    *,
+    forgery_free: bool = False,
 ) -> ExplorationResult:
     """Enumerate station states reachable under an adversarial channel.
 
@@ -548,6 +573,13 @@ def explore_station_states(
             saturate at small values.
         max_configurations: exploration budget; when exceeded the
             result is marked ``truncated``.
+        forgery_free: explore only configurations in which the
+            receiver has delivered no more messages than the
+            environment injected (see "The forgery-free region" above).
+            Each delivery that would break this is dropped and counted
+            in ``perf["successors_pruned"]``.  Theorem 2.1's counts
+            need only this region; a search hunting forgeries needs the
+            default, the full abstract region.
 
     Returns:
         An :class:`ExplorationResult` with the visited station states.
@@ -576,4 +608,5 @@ def explore_station_states(
         max_messages=max_messages,
         max_configurations=max_configurations,
         exact=True,
+        forgery_free=forgery_free,
     )

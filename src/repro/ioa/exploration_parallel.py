@@ -222,17 +222,26 @@ class _BFS:
 
     ``prop`` is a checker property, or ``None`` for exploration;
     ``del_cap`` is the saturating delivered field (``0`` when off);
-    ``capacity`` bounds the channel value sets (``None`` when off).
+    ``capacity`` bounds the channel value sets (``None`` when off);
+    ``forgery_free`` turns the delivered field on (at
+    ``max_messages + 1``) and makes :meth:`run_levels` drop every
+    delivery whose successor has delivered more messages than were
+    injected.  Only exploration sets it, and exploration never tracks
+    parents, so :meth:`expand` does not read it.
     """
 
     def __init__(self, sender: IOAutomaton, receiver: IOAutomaton,
                  alphabet: List[Hashable], max_messages: int, *,
                  prop: Any = None, track_parents: bool = False,
-                 del_cap: int = 0, capacity: Optional[int] = None) -> None:
+                 del_cap: int = 0, capacity: Optional[int] = None,
+                 forgery_free: bool = False) -> None:
+        if forgery_free:
+            del_cap = max_messages + 1
         self.max_messages = max_messages
         self.track_parents = track_parents
         self.del_cap = del_cap
         self.capacity = capacity
+        self.forgery_free = forgery_free
         # A delivery's successor depends on the delivered field only
         # when it is tracked, so only then does the memo key read it.
         self.deliver_mask = _DELIVER_KEY | (
@@ -485,7 +494,9 @@ class _BFS:
         happens at exactly the level boundaries of :meth:`expand`'s
         coordinator loop, so verdicts and counts are identical.
         Capacity pruning checks only the set a move can grow:
-        injections and sender deliveries keep both channel sets.
+        injections and sender deliveries keep both channel sets.  The
+        forgery prune checks deliveries to the receiver only: no other
+        move raises the delivered field.
 
         The entry frontier must already be adopted (and therefore
         scanned) by :meth:`adopt`; the caller handles a hit there
@@ -505,6 +516,7 @@ class _BFS:
         del_cap = self.del_cap
         deliver_mask = self.deliver_mask
         capacity = self.capacity
+        forgery_free = self.forgery_free
         set_members = search.set_members
         scanning = self.scan is not None
         inject_memo = self.inject_memo
@@ -607,6 +619,10 @@ class _BFS:
                             elif capacity is not None and len(set_members[
                                 (successor >> _S_R2T) & mask
                             ]) > capacity:
+                                pruned += 1
+                            elif forgery_free and (successor >> _S_DEL) > (
+                                (successor >> _S_INJ) & mask
+                            ):
                                 pruned += 1
                             else:
                                 seen_add(successor)
@@ -747,12 +763,15 @@ def _run_search(
     track_parents: bool = False,
     del_cap: int = 0,
     capacity: Optional[int] = None,
+    forgery_free: bool = False,
     states: bool = False,
     exact: bool = False,
 ) -> Dict[str, Any]:
     """One complete level-synchronous search.
 
     ``prop`` is a checker property or ``None`` (exploration);
+    ``forgery_free`` keeps the search to configurations that delivered
+    no more messages than were injected (see :class:`_BFS`);
     ``states`` asks for the exploration outputs; ``exact`` selects the
     BFS-FIFO cut, for searches without parents only.
 
@@ -776,6 +795,7 @@ def _run_search(
     bfs = _BFS(
         sender, receiver, alphabet, max_messages, prop=prop,
         track_parents=track_parents, del_cap=del_cap, capacity=capacity,
+        forgery_free=forgery_free,
     )
     level = 0
     visited = 0
@@ -877,6 +897,7 @@ def _explore(
     max_messages: int,
     max_configurations: int,
     exact: bool,
+    forgery_free: bool = False,
 ) -> ExplorationResult:
     """Exploration: the search with no property, plus its outputs."""
     started = time.perf_counter()
@@ -884,6 +905,7 @@ def _explore(
         sender, receiver, list(message_alphabet), None,
         max_messages=max_messages,
         max_configurations=max_configurations,
+        forgery_free=forgery_free,
         states=True,
         exact=exact,
     )
@@ -899,6 +921,7 @@ def _explore(
                 ("memo_hits", "memo_hits"),
                 ("memo_misses", "memo_misses"),
                 ("duplicate_successors_skipped", "dup_skipped"),
+                ("successors_pruned", "pruned"),
                 ("interned_sender_states", "interned_sender_states"),
                 ("interned_receiver_states", "interned_receiver_states"),
                 ("interned_packet_values", "interned_packet_values"),

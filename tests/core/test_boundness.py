@@ -1,5 +1,7 @@
 """Tests for boundness measurement and Theorem 2.1 verification."""
 
+import pytest
+
 from repro.core.boundness import (
     check_mf_bounded_sample,
     check_pf_bounded_sample,
@@ -8,7 +10,7 @@ from repro.core.boundness import (
 )
 from repro.core.theorem41 import plant_backlog
 from repro.datalink.alternating_bit import make_alternating_bit
-from repro.datalink.flooding import make_flooding
+from repro.datalink.flooding import make_capacity_flooding, make_flooding
 from repro.datalink.sequence import make_sequence_protocol
 from repro.datalink.system import make_system
 
@@ -70,6 +72,49 @@ class TestVerifyTheorem21:
             exploration_kwargs={"max_messages": 2},
         )
         assert verdict.holds
+
+    def test_capacity_flooding_region_is_exhaustive(self):
+        """The forgery-free region of E1's capacity-flood(K=2,B=1) row
+        is finite: 16 configurations, k_t 7 and k_r 6, where the full
+        abstract region never ends."""
+        verdict = verify_theorem21(
+            lambda: make_capacity_flooding(2, 1),
+            boundness_kwargs=FAST,
+            exploration_kwargs={
+                "max_messages": 2, "max_configurations": 60_000,
+            },
+        )
+        assert not verdict.exploration.truncated
+        assert verdict.exploration.configurations == 16
+        assert verdict.state_product == 42
+        assert verdict.holds
+
+    @pytest.mark.parametrize(
+        "factory, budget",
+        [
+            (lambda: make_capacity_flooding(2, 1), 3),
+            (make_alternating_bit, 3),
+            (make_alternating_bit, 5),
+        ],
+        ids=["capacity-flood-2-1-at-3", "abp-at-3", "abp-at-5"],
+    )
+    def test_truncated_search_does_not_verify(self, factory, budget):
+        """A truncated search covers only part of the region, so its
+        product bounds nothing, even where the measured boundness
+        stays under it."""
+        verdict = verify_theorem21(
+            factory,
+            boundness_kwargs={
+                "prefix_lengths": (0, 1, 2), "seeds": (0, 1),
+                "max_steps": 5000,
+            },
+            exploration_kwargs={
+                "max_messages": 2, "max_configurations": budget,
+            },
+        )
+        assert verdict.exploration.truncated
+        assert verdict.boundness <= verdict.state_product
+        assert not verdict.holds
 
 
 class TestDefinitionCheckers:

@@ -150,9 +150,6 @@ def test_e1_samples_boundness_once_per_row(monkeypatch, fast, rows):
     monkeypatch.setattr(boundness, "measure_boundness", counting)
     monkeypatch.setattr(exp_boundness, "measure_boundness", counting,
                         raising=False)
-    # Sampling is what is counted; keep the full-mode search small.
-    monkeypatch.setattr(exp_boundness, "SLOW_BUDGET",
-                        exp_boundness.FAST_BUDGET)
     result = exp_boundness.run(fast=fast, seed=0)
     assert len(result.tables[0].rows) == rows
     assert len(calls) == rows

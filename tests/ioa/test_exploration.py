@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datalink.alternating_bit import make_alternating_bit
+from repro.datalink.flooding import make_capacity_flooding
 from repro.datalink.gobackn import make_gobackn
 from repro.datalink.sequence import make_sequence_protocol
 from repro.datalink.window import make_window_protocol
@@ -149,3 +150,44 @@ class TestNonStations:
         sender, _ = make_alternating_bit()
         with pytest.raises(TypeError, match="ReceiverStation"):
             explore_station_states(sender, Idle(), ["m"])
+
+
+class TestForgeryFree:
+    """``forgery_free`` keeps the search to configurations that
+    delivered no more messages than were injected; the default keeps
+    the full abstract region."""
+
+    @pytest.mark.parametrize(
+        "factory, max_messages, expected, pruned",
+        [
+            (make_alternating_bit, 3, (4, 2, 13, False), 4),
+            (lambda: make_capacity_flooding(2, 1), 2, (7, 6, 16, False), 3),
+            (lambda: make_capacity_flooding(3, 1), 2, (7, 5, 13, False), 0),
+            (make_sequence_protocol, 2, (5, 3, 9, False), 0),
+        ],
+        ids=["alternating-bit", "capacity-flood-2-1", "capacity-flood-3-1",
+             "sequence-number"],
+    )
+    def test_e1_rows_are_exhaustive(self, factory, max_messages, expected,
+                                    pruned):
+        """E1's rows, with the forged deliveries each search dropped."""
+        result = explore_station_states(
+            *factory(), ["m"], max_messages=max_messages,
+            max_configurations=60_000, forgery_free=True,
+        )
+        assert (
+            result.k_t, result.k_r, result.configurations, result.truncated
+        ) == expected
+        assert result.perf["successors_pruned"] == pruned
+
+    def test_default_keeps_the_full_region(self):
+        """Without the prune the same row never ends: its k_r grows
+        with the budget (budget/3 + 2)."""
+        result = explore_station_states(
+            *make_capacity_flooding(2, 1), ["m"], max_messages=2,
+            max_configurations=60_000,
+        )
+        assert (
+            result.k_t, result.k_r, result.configurations, result.truncated
+        ) == (7, 20_002, 60_000, True)
+        assert result.perf["successors_pruned"] == 0
