@@ -19,12 +19,14 @@ Bit-identity is the contract, not an aspiration:
 
 * the probabilistic channels draw from the same
   ``random.Random(seed)`` / ``Random(seed + 1)`` streams in the same
-  order (one draw per send, at send time), so every coin lands the
-  same way;
+  order (one coin per send, flipped at send time), so every coin
+  lands the same way;
 * a run of receipts the receiver absorbs without output
   (``ReceiverStation.silent_copies``) is replayed in bulk: the same
-  coins in the same order, with the counters and both stations
-  reconciled afterwards, because nothing else moves meanwhile;
+  coins in the same order, read from the Mersenne-Twister words in
+  blocks (:meth:`_TrialChannel.quiet_sends`), with the counters and
+  both stations reconciled afterwards, because nothing else moves
+  meanwhile;
 * the per-message loop of
   :func:`~repro.core.theorem51.run_probabilistic_delivery` and the
   two-phase hoarding of :func:`~repro.core.theorem41.plant_backlog`
@@ -46,8 +48,11 @@ configurations where the transcription is exact (see
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
+from struct import unpack_from
 from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.channels.packets import TransitCopy
@@ -70,22 +75,49 @@ from repro.ioa.sinks import ExecutionSink, MetricsSink
 TRIAL_ENGINES = ("auto", "batch", "interpreted")
 
 
+#: Coins per ``getrandbits`` call in :meth:`_TrialChannel.quiet_sends`:
+#: 512 KiB of Mersenne-Twister output.
+COIN_BLOCK = 65_536
+
+
+@functools.lru_cache(maxsize=64)
+def _coin_test(q: float) -> Tuple[int, bytes]:
+    """``(threshold, table)`` for reading q-coins off raw MT words.
+
+    CPython's ``random()`` is ``x / 2**53`` with the 53-bit integer
+    ``x = (a >> 5) * 2**26 + (b >> 6)`` of its next two 32-bit words,
+    so ``random() >= q`` iff ``x >= threshold = ceil(q * 2**53)``
+    (scaling by a power of two is exact).  The top byte ``t`` of ``a``
+    is the top 8 of x's 53 bits; ``table[t]`` is 1 when every x with
+    that top byte is lucky, 0 when none is, and 2 (one byte value in
+    256) when the low 45 bits decide.
+    """
+    threshold = math.ceil(q * 2**53)
+    table = bytes(
+        1 if t << 45 >= threshold else 0 if (t + 1) << 45 <= threshold else 2
+        for t in range(256)
+    )
+    return threshold, table
+
+
 class _TrialChannel:
     """A probabilistic channel reduced to value-id bookkeeping.
 
     Mirrors :class:`~repro.channels.probabilistic.ProbabilisticChannel`
     under ``TricklePolicy.NEVER``: the q-coin is flipped at send time
-    from the channel's own rng (one draw per send, same order as the
+    from the channel's own rng (one coin per send, same order as the
     interpreted channel), lucky copies queue as due, delayed copies
-    stay in the pool forever.  Individual copy ids are unnecessary --
-    nothing is ever dropped or force-delivered, so the due queue can
-    carry value ids directly.  ``value_counts``/``size`` present the
-    pool to :class:`~repro.ioa.compile.PoolOracle` exactly as the real
-    bag would.
+    stay in the pool forever.  :meth:`quiet_sends` flips a run of
+    one value's coins in blocks.  Individual copy ids are
+    unnecessary -- nothing is ever dropped or force-delivered, so the
+    due queue can carry value ids directly.  ``value_counts``/``size``
+    present the pool to :class:`~repro.ioa.compile.PoolOracle` exactly
+    as the real bag would.
     """
 
     __slots__ = (
-        "q", "_rand", "due", "_spare", "value_counts", "size", "sent_total"
+        "q", "_rand", "_getrandbits", "due", "_spare", "value_counts",
+        "size", "sent_total",
     )
 
     def __init__(self, q: float, rng: random.Random) -> None:
@@ -93,6 +125,7 @@ class _TrialChannel:
             raise ValueError(f"error probability q={q} must be in [0, 1)")
         self.q = q
         self._rand = rng.random
+        self._getrandbits = rng.getrandbits
         self.due: List[int] = []
         self._spare: List[int] = []
         self.value_counts: dict = {}
@@ -106,6 +139,55 @@ class _TrialChannel:
         counts[vid] = counts.get(vid, 0) + 1
         if self._rand() >= self.q:
             self.due.append(vid)
+
+    def quiet_sends(
+        self, vid: int, k: int, limit: int, peak: int
+    ) -> Tuple[int, int, int]:
+        """Up to ``limit`` sends of ``vid``, each lucky copy delivered
+        at once, stopping right after the ``k``-th lucky one
+        (``k >= 1``); returns ``(sends, lucky, peak)`` with ``peak``
+        raised to the highest outstanding count after a send.
+
+        Bit-identical to flipping one ``random()`` coin per send, rng
+        state included.  ``getrandbits(64 * m)`` returns the 2m words
+        that m ``random()`` calls would consume, the first in the
+        least significant bits, so its little-endian bytes hold each
+        coin's ``a`` word at ``8 * i`` and its top byte at
+        ``8 * i + 3``; :func:`_coin_test` decides a coin from that
+        byte alone 255 times in 256.  A block holds at most as many
+        coins as lucky ones are still needed, so no draw passes the
+        k-th lucky coin.  The outstanding count (``size``) never
+        falls within the run, so its peak follows the last send.
+        """
+        threshold, table = _coin_test(self.q)
+        getrandbits = self._getrandbits
+        sends = lucky = 0
+        raw = tops = b""
+        while sends < limit and lucky < k:
+            m = min(k - lucky, limit - sends, COIN_BLOCK)
+            raw = getrandbits(64 * m).to_bytes(8 * m, "little")
+            tops = raw[3::8].translate(table)
+            lucky += tops.count(1)
+            at = tops.find(2)
+            while at >= 0:
+                a, b = unpack_from("<II", raw, 8 * at)
+                if (a >> 5) << 26 | b >> 6 >= threshold:
+                    lucky += 1
+                at = tops.find(2, at + 1)
+            sends += m
+        self.sent_total += sends
+        self.size += sends - lucky
+        counts = self.value_counts
+        counts[vid] = counts.get(vid, 0) + sends - lucky
+        if sends:
+            # The peak is before the last copy's delivery, if it was
+            # lucky: always when the run ended on the k-th lucky one.
+            last = 1 if lucky == k else tops[-1]
+            if last == 2:
+                a, b = unpack_from("<II", raw, len(raw) - 8)
+                last = (a >> 5) << 26 | b >> 6 >= threshold
+            peak = max(peak, self.size + last)
+        return sends, lucky, peak
 
     def take_due(self) -> List[int]:
         """Drain the due queue without allocating: the empty case
@@ -320,6 +402,7 @@ def run_probabilistic_batch(
     rcv_silent = rcv.silent
     rcv_absorb = rcv.absorb
     snd_commit_run = snd.commit_run
+    t2r_quiet_sends = t2r.quiet_sends
     quiet = rcv_silent is not None and snd_commit_run is not None
 
     def quiet_run(v: int, k: int, limit: int) -> int:
@@ -327,35 +410,18 @@ def run_probabilistic_batch(
         # the receiver absorbs the next ``k`` copies silently; ends
         # right after the k-th absorbed copy.  Each step is step()
         # with its no-op parts removed: one send and its t2r coin,
-        # and the copy, if lucky, delivered at once.  Nothing else
+        # and the copy, if lucky, delivered at once -- the channel's
+        # quiet_sends, which draws the coins in blocks.  Nothing else
         # moves -- the receiver sends nothing (r2t and its rng stay
         # untouched), the sender receives nothing and its commit is
         # idle (so ready() and offer() hold), and the oracle is only
-        # read outside this loop -- so the counters, the t2r pool
-        # and both stations are reconciled in bulk afterwards.
+        # read outside this loop -- so the counters and both stations
+        # are reconciled in bulk afterwards.
         nonlocal length, sp_t2r, rp_t2r, peak_t2r
-        rand = t2r_rand
-        out = sp_t2r - rp_t2r
-        peak = peak_t2r
-        absorbed = 0
-        sends = 0
-        for sends in range(1, limit + 1):
-            # The outstanding count peaks right after a send.
-            out += 1
-            if out > peak:
-                peak = out
-            if rand() >= q:
-                out -= 1
-                absorbed += 1
-                if absorbed == k:
-                    break
+        sends, absorbed, peak_t2r = t2r_quiet_sends(v, k, limit, peak_t2r)
         length += sends + absorbed
         sp_t2r += sends
         rp_t2r += absorbed
-        peak_t2r = peak
-        t2r.sent_total += sends
-        t2r.size += sends - absorbed
-        t2r_counts[v] = t2r_counts.get(v, 0) + sends - absorbed
         snd_commit_run(sends)
         rcv_absorb(v, absorbed)
         return sends

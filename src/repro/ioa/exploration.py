@@ -46,8 +46,10 @@ receiver raises the count, so that one move class is checked.  The
 prune is sound for any alphabet (delivered > injected breaks DL1
 whatever the messages are) and exact for a one-letter alphabet, where
 DL1 is ``rm <= sm``.  :func:`repro.core.boundness.verify_theorem21`
-always explores this region; E2, the checker and the campaign cells
-keep the full one, because they exist to find forgeries.
+always explores this region, and so does E2's header-growth table,
+which counts the headers legitimate traffic mints; the checker and the
+campaign cells keep the full one, because they exist to find
+forgeries.
 
 Interned, packed search
 -----------------------

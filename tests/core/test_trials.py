@@ -12,6 +12,8 @@ station pair (working and deliberately broken), error rates and seeds
 """
 
 import dataclasses
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,12 @@ from repro.core.theorem41 import (
     run_dichotomy,
 )
 from repro.core.theorem51 import run_probabilistic_delivery
-from repro.core.trials import probabilistic_batch_refusal, pump_batch_refusal
+from repro.core.trials import (
+    COIN_BLOCK,
+    _TrialChannel,
+    probabilistic_batch_refusal,
+    pump_batch_refusal,
+)
 from repro.datalink.alternating_bit import make_alternating_bit
 from repro.datalink.broken import (
     BlackHoleReceiver,
@@ -109,17 +116,26 @@ def test_metrics_sink_counters_match_interpreted():
     assert sink_b.snapshot() == sink_i.snapshot()
 
 
-@pytest.mark.parametrize("q", [0.3, 0.5])
-@pytest.mark.parametrize("seed", range(4))
-def test_stalled_k1_flooding_matches_interpreted(q, seed):
+@pytest.mark.parametrize(
+    "seed, q, max_steps",
+    [
+        pytest.param(seed, q, 30_000 + 10_000 * seed, id=f"{seed}-{q}")
+        for seed in range(4)
+        for q in (0.3, 0.5)
+    ]
+    # Its last quiet run needs 83,040 silent copies within 94,134
+    # sends, so the batch tier draws one full COIN_BLOCK and crosses
+    # its edge.
+    + [pytest.param(0, 0.5, 260_000, id="0-0.5-260000")],
+)
+def test_stalled_k1_flooding_matches_interpreted(seed, q, max_steps):
     """E6(a)'s K=1 regime: the sender never becomes ready again and the
     receiver silently counts copies of a growing stale pool, so the
     batch tier absorbs almost every receipt in bulk.  The result and
     every MetricsSink counter (the t2r peak included) match the
     interpreted tier."""
     common = dict(
-        q=q, n=18, seed=seed, packet_budget=300_000,
-        max_steps=30_000 + 10_000 * seed,
+        q=q, n=18, seed=seed, packet_budget=300_000, max_steps=max_steps,
     )
     runs = {}
     for engine in ("interpreted", "batch"):
@@ -132,6 +148,77 @@ def test_stalled_k1_flooding_matches_interpreted(q, seed):
     result, _ = runs["batch"]
     assert not result["completed"]
     assert result["steps"] == common["max_steps"]
+
+
+def per_coin_quiet_sends(channel, vid, k, limit, peak):
+    """The quiet loop with one ``random()`` coin per send: the reference
+    for :meth:`_TrialChannel.quiet_sends`."""
+    rand = channel._rand
+    out = channel.size
+    lucky = sends = 0
+    for sends in range(1, limit + 1):
+        out += 1
+        if out > peak:
+            peak = out
+        if rand() >= channel.q:
+            out -= 1
+            lucky += 1
+            if lucky == k:
+                break
+    channel.sent_total += sends
+    channel.size += sends - lucky
+    counts = channel.value_counts
+    counts[vid] = counts.get(vid, 0) + sends - lucky
+    return sends, lucky, peak
+
+
+def assert_quiet_sends_match(q, seed, k, limit, drawn):
+    """Twin channels on twin rngs, ``drawn`` ordinary sends first: the
+    block draw and the per-coin loop agree on the result, the pool and
+    the rng state."""
+    rngs = random.Random(seed), random.Random(seed)
+    block, reference = (_TrialChannel(q, rng) for rng in rngs)
+    for channel in (block, reference):
+        for _ in range(drawn):
+            channel.send(9)
+    assert block.quiet_sends(1, k, limit, 1) == per_coin_quiet_sends(
+        reference, 1, k, limit, 1
+    )
+    assert (block.size, block.sent_total, block.value_counts) == (
+        reference.size, reference.sent_total, reference.value_counts
+    )
+    assert rngs[0].getstate() == rngs[1].getstate()
+
+
+#: Edge values of q: every coin lucky, dyadic and non-dyadic thresholds,
+#: and the largest q below 1 (almost every coin unlucky).
+QUIET_QS = [0.0, 0.1, 0.3, 1 / 3, 0.5, 0.9, math.nextafter(1.0, 0.0)]
+
+
+@pytest.mark.parametrize("q", QUIET_QS)
+@pytest.mark.parametrize("k", [1, 7, 100_000])
+@pytest.mark.parametrize("limit", [1, 50, 300_000])
+@pytest.mark.parametrize("drawn", [0, 1, 2])
+def test_quiet_sends_matches_per_coin_loop(q, k, limit, drawn):
+    """Runs past COIN_BLOCK coins cross a block edge, and a
+    300,000-send run meets about 1,200 coins whose top byte leaves
+    them undecided."""
+    assert_quiet_sends_match(q, 0, k, limit, drawn)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.integers(0, 2**53 - 1).map(lambda x: x / 2**53),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 2 * COIN_BLOCK),
+    limit=st.integers(0, 3 * COIN_BLOCK),
+    drawn=st.integers(0, 2),
+)
+def test_quiet_sends_matches_per_coin_loop_property(q, seed, k, limit, drawn):
+    assert_quiet_sends_match(q, seed, k, limit, drawn)
 
 
 def test_engine_rejects_unknown_name():

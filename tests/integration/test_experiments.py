@@ -119,19 +119,50 @@ def test_experiments_are_seed_deterministic():
     ]
 
 
-def test_exploration_worker_variable_cannot_change_tables(monkeypatch):
-    """The result cache keys on experiment, parameters, seed and code,
-    not on the environment, so nothing in it may steer an exploration.
-    E2's capacity-flood growth rows are cut by the visit budget; a
-    level-barrier cut would print 20002 and 20005 configurations where
-    the serial entry's exact cut prints 20000."""
-    monkeypatch.delenv("REPRO_EXPLORE_WORKERS", raising=False)
-    plain = run_experiment("headers", fast=True, seed=3)
-    monkeypatch.setenv("REPRO_EXPLORE_WORKERS", "2")
-    steered = run_experiment("headers", fast=True, seed=3)
-    assert [t.to_dict() for t in steered.tables] == [
-        t.to_dict() for t in plain.tables
+#: E2's header-growth rows as (protocol, messages, wire headers, k_t,
+#: k_r, configurations): every search covers the forgery-free region
+#: and ends well inside the budget, so both modes print the same rows.
+E2_GROWTH_ROWS = [
+    ["capacity-flood(K=2,B=1)", "1", "1", "4", "3", "7"],
+    ["capacity-flood(K=2,B=1)", "2", "2", "7", "6", "16"],
+    ["capacity-flood(K=2,B=1)", "3", "2", "10", "8", "28"],
+    ["sequence-number", "1", "1", "3", "2", "5"],
+    ["sequence-number", "2", "2", "5", "3", "9"],
+    ["sequence-number", "3", "3", "7", "4", "13"],
+]
+
+E2_GROWTH_CHECKS = [
+    "capacity-flood(K=2,B=1): wire header alphabet saturates "
+    "(fixed headers)",
+    "sequence-number: every extra message mints a fresh wire header",
+]
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_e2_growth_rows_are_exhaustive(fast):
+    result = run_experiment("headers", fast=fast, seed=3)
+    assert result.tables[2].rows == E2_GROWTH_ROWS
+    assert not [note for note in result.notes if "truncated" in note]
+    assert all(result.checks[check] for check in E2_GROWTH_CHECKS)
+
+
+def test_e2_truncated_growth_rows_fail_their_checks(monkeypatch):
+    """A truncated search covers only part of the region, so its
+    header count proves nothing: each protocol with a row cut by the
+    budget fails its growth check, and a note names the cut rows."""
+    from repro.experiments import exp_headers
+
+    monkeypatch.setattr(exp_headers, "GROWTH_BUDGET", 10)
+    result = exp_headers.run(fast=True)
+    assert [result.checks[check] for check in E2_GROWTH_CHECKS] == [
+        False, False,
     ]
+    (note,) = [note for note in result.notes if "truncated" in note]
+    assert (
+        "capacity-flood(K=2,B=1) at 2 messages, "
+        "capacity-flood(K=2,B=1) at 3 messages, "
+        "sequence-number at 3 messages;"
+    ) in note
 
 
 @pytest.mark.parametrize("fast, rows", [(True, 3), (False, 4)])
