@@ -28,6 +28,7 @@ from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from repro.channels.probabilistic import TricklePolicy
 from repro.core import trials
+from repro.datalink.spec import SpecSink
 from repro.datalink.stations import ReceiverStation, SenderStation
 from repro.datalink.system import DataLinkSystem, make_system
 from repro.ioa.actions import Direction
@@ -55,6 +56,11 @@ class ProbabilisticRunResult:
         events_elided: trace events skipped (never allocated) by the
             run's trace mode -- 0 under ``TraceMode.FULL``, everything
             under the default ``TraceMode.COUNTS``.
+        dl1_violated_at: index of the first event that violates (DL1),
+            or ``None`` when the run keeps it.  The interpreted engine
+            reads it from a :class:`~repro.datalink.spec.SpecSink` on
+            the run, the batch engine from ``rm`` and ``sm`` at each
+            delivery.
     """
 
     q: float
@@ -67,6 +73,7 @@ class ProbabilisticRunResult:
     completed: bool = False
     steps: int = 0
     events_elided: int = 0
+    dl1_violated_at: Optional[int] = None
 
     @property
     def total_packets(self) -> int:
@@ -160,9 +167,10 @@ def run_probabilistic_delivery(
         if engine == "batch":
             raise ValueError(f"the batch engine cannot run this: {refusal}")
     sender, receiver = pair_factory()
+    spec = SpecSink()
     system: DataLinkSystem = make_system(
         sender, receiver, q=q, seed=seed, trickle=trickle,
-        trace_mode=trace_mode, sinks=sinks,
+        trace_mode=trace_mode, sinks=[*(sinks or ()), spec],
     )
     cumulative: List[int] = []
     steps_used = 0
@@ -196,4 +204,5 @@ def run_probabilistic_delivery(
         completed=delivered >= n,
         steps=steps_used,
         events_elided=system.execution.events_elided,
+        dl1_violated_at=None if spec.dl1 is None else spec.dl1.event_index,
     )

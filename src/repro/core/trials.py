@@ -27,6 +27,11 @@ Bit-identity is the contract, not an aspiration:
   blocks (:meth:`_TrialChannel.quiet_sends`), with the counters and
   both stations reconciled afterwards, because nothing else moves
   meanwhile;
+* so is a run of copies the receiver answers with one echo each
+  (``ReceiverStation.echo_packet``) while the sender absorbs the
+  echoes without changing what it offers
+  (``SenderStation.silent_copies``): each block of coins on one
+  channel, then the echoes' coins on the other (:func:`echo_sends`);
 * the per-message loop of
   :func:`~repro.core.theorem51.run_probabilistic_delivery` and the
   two-phase hoarding of :func:`~repro.core.theorem41.plant_backlog`
@@ -39,6 +44,9 @@ Bit-identity is the contract, not an aspiration:
   sets match event-for-event), so the downstream probe machinery
   (:func:`~repro.core.extensions.find_extension`,
   :func:`~repro.core.replay.attempt_replay`) runs unchanged.
+
+The delivery engine also checks (DL1) at each ``receive_msg``: with one
+constant payload it reduces to ``rm <= sm``.
 
 The equivalence tests drive both paths on identical inputs and compare
 every result field; the batch path is only auto-selected in
@@ -60,6 +68,7 @@ from repro.channels.probabilistic import TricklePolicy
 from repro.core.pumping import ReservePool
 from repro.ioa.actions import Direction
 from repro.ioa.compile import (
+    NO_VALUE,
     InterpretedReceiver,
     InterpretedSender,
     PoolOracle,
@@ -116,8 +125,8 @@ class _TrialChannel:
     """
 
     __slots__ = (
-        "q", "_rand", "_getrandbits", "due", "_spare", "value_counts",
-        "size", "sent_total",
+        "q", "_rand", "_getrandbits", "due", "value_counts", "size",
+        "sent_total",
     )
 
     def __init__(self, q: float, rng: random.Random) -> None:
@@ -127,7 +136,6 @@ class _TrialChannel:
         self._rand = rng.random
         self._getrandbits = rng.getrandbits
         self.due: List[int] = []
-        self._spare: List[int] = []
         self.value_counts: dict = {}
         self.size = 0
         self.sent_total = 0
@@ -189,23 +197,46 @@ class _TrialChannel:
             peak = max(peak, self.size + last)
         return sends, lucky, peak
 
-    def take_due(self) -> List[int]:
-        """Drain the due queue without allocating: the empty case
-        returns the (empty) live list untouched, the non-empty case
-        swaps in the cleared scratch list.  The returned list is
-        only valid until the next call -- every caller drains it
-        immediately."""
-        due = self.due
-        if due:
-            spare = self._spare
-            spare.clear()
-            self.due = spare
-            self._spare = due
-        return due
-
     def deliver(self, vid: int) -> None:
         self.value_counts[vid] -= 1
         self.size -= 1
+
+
+def echo_sends(
+    t2r: _TrialChannel,
+    r2t: _TrialChannel,
+    vid: int,
+    echo: int,
+    k: int,
+    limit: int,
+    peak_t2r: int,
+    peak_r2t: int,
+) -> Tuple[int, int, int, int, int]:
+    """Up to ``limit`` steps of an echo exchange, stopping right after
+    the ``k``-th absorbed echo (``k >= 1``); returns ``(steps, lucky,
+    absorbed, peak_t2r, peak_r2t)``.
+
+    Each step sends ``vid`` on ``t2r``; a lucky copy is delivered at
+    once and answered with one ``echo`` on ``r2t``, and a lucky echo is
+    delivered at once too.  ``lucky`` counts the delivered copies (and
+    so the echoes sent), ``absorbed`` the delivered echoes.  The
+    channels draw from independent rngs, so a block of ``m`` steps
+    draws its ``m`` t2r coins first and then one r2t coin per lucky
+    copy, both with :meth:`_TrialChannel.quiet_sends`.  A block has at
+    most ``k - absorbed`` steps, and a step absorbs at most one echo,
+    so no block passes the k-th absorbed echo and both rngs end where
+    the per-step loop leaves them.
+    """
+    steps = lucky = absorbed = 0
+    while absorbed < k and steps < limit:
+        m = min(k - absorbed, limit - steps)
+        _, got, peak_t2r = t2r.quiet_sends(vid, m, m, peak_t2r)
+        steps += m
+        if got:
+            lucky += got
+            _, acked, peak_r2t = r2t.quiet_sends(echo, m, got, peak_r2t)
+            absorbed += acked
+    return steps, lucky, absorbed, peak_t2r, peak_r2t
 
 
 def probabilistic_batch_refusal(
@@ -285,7 +316,12 @@ def run_probabilistic_batch(
     :func:`~repro.core.theorem51.run_probabilistic_delivery`: one
     trial, bit-identical to the interpreted engine for supported
     configurations (see :func:`probabilistic_batch_refusal`); the
-    arguments mean what they mean there."""
+    arguments mean what they mean there.
+
+    Every message carries the one payload ``message``, so (DL1) holds
+    at a ``receive_msg`` iff it delivers that payload and ``rm < sm``
+    before it; the result's ``dl1_violated_at`` is the first event
+    where that fails."""
     from repro.core.theorem51 import ProbabilisticRunResult
 
     t2r = _TrialChannel(q, random.Random(seed))
@@ -299,6 +335,7 @@ def run_probabilistic_batch(
     sm = rm = 0
     sp_t2r = sp_r2t = rp_t2r = rp_r2t = 0
     peak_t2r = peak_r2t = 0
+    dl1_violated_at: Optional[int] = None
 
     snd_ready = snd.ready
     snd_offer = snd.offer
@@ -330,10 +367,12 @@ def run_probabilistic_batch(
     def pump_receiver() -> None:
         # DataLinkSystem.pump_receiver: deliveries first, then
         # control packets, until quiescent.
-        nonlocal length, rm, sp_r2t, peak_r2t
+        nonlocal length, rm, sp_r2t, peak_r2t, dl1_violated_at
         while True:
             if deliveries:
-                rcv_pop_delivery()
+                if rcv_pop_delivery() != mvid or rm >= sm:
+                    if dl1_violated_at is None:
+                        dl1_violated_at = length
                 length += 1
                 rm += 1
             elif outgoing:
@@ -371,11 +410,11 @@ def run_probabilistic_batch(
             if outstanding > peak_t2r:
                 peak_t2r = outstanding
             snd_commit()
-        # flush_mandatory, with take_due inlined: the due lists
-        # receive no appends while they drain (the sender only
-        # transmits through the burst above, and receiver sends
-        # during the t2r drain land on the r2t queue, which drains
-        # after), so iterate in place and clear.
+        # flush_mandatory: the due lists receive no appends while
+        # they drain (the sender only transmits through the burst
+        # above, and receiver sends during the t2r drain land on the
+        # r2t queue, which drains after), so iterate in place and
+        # clear.
         while t2r_due or r2t_due:
             if t2r_due:
                 for dvid in t2r_due:
@@ -396,14 +435,23 @@ def run_probabilistic_batch(
         if deliveries or outgoing:
             pump_receiver()
 
-    # Bulk hooks for runs of silent receipts: only kernels whose
-    # receiver absorbs duplicates without output (and whose sender
-    # commits without changing state) expose them.
+    # Bulk hooks: only kernels whose sender commits without changing
+    # state, and whose receiver absorbs copies without output (quiet
+    # runs) or answers each with one echo the sender absorbs (echo
+    # runs), expose them.
     rcv_silent = rcv.silent
     rcv_absorb = rcv.absorb
+    rcv_echo = rcv.echo
+    snd_silent = snd.silent
+    snd_absorb = snd.absorb
     snd_commit_run = snd.commit_run
     t2r_quiet_sends = t2r.quiet_sends
     quiet = rcv_silent is not None and snd_commit_run is not None
+    echoes = (
+        rcv_echo is not None
+        and snd_silent is not None
+        and snd_commit_run is not None
+    )
 
     def quiet_run(v: int, k: int, limit: int) -> int:
         # Up to ``limit`` steps while the sender re-sends ``v`` and
@@ -426,6 +474,31 @@ def run_probabilistic_batch(
         rcv_absorb(v, absorbed)
         return sends
 
+    def echo_run(v: int, e: int, k: int, limit: int) -> int:
+        # Up to ``limit`` steps while the sender re-sends ``v``, the
+        # receiver answers each copy it gets with the echo ``e``, and
+        # the sender absorbs the next ``k`` echoes silently; ends
+        # right after the k-th absorbed echo.  Each step is step()
+        # with its no-op parts removed (echo_sends draws the coins).
+        # Nothing else moves -- the receiver's state and queues are
+        # as they were after each step, the sender's absorbed echoes
+        # and idle commits leave ready() and offer() alone, and the
+        # oracle is only read outside this loop -- so the counters and
+        # the sender are reconciled in bulk afterwards.
+        nonlocal length, sp_t2r, rp_t2r, sp_r2t, rp_r2t
+        nonlocal peak_t2r, peak_r2t
+        steps, lucky, absorbed, peak_t2r, peak_r2t = echo_sends(
+            t2r, r2t, v, e, k, limit, peak_t2r, peak_r2t
+        )
+        length += steps + 2 * lucky + absorbed
+        sp_t2r += steps
+        rp_t2r += lucky
+        sp_r2t += lucky
+        rp_r2t += absorbed
+        snd_commit_run(steps)
+        snd_absorb(e, absorbed)
+        return steps
+
     def run_one(budget: int) -> Tuple[int, bool]:
         # DataLinkSystem.run([message], max_steps=budget).  The
         # local ``rm`` counter tracks the station's
@@ -443,13 +516,19 @@ def run_probabilistic_batch(
                 pending = False
             if not pending and rm >= goal and snd_ready():
                 break
-            if quiet and not (deliveries or outgoing):
+            if (quiet or echoes) and not (deliveries or outgoing):
                 v = snd_offer()
                 if v >= 0:
-                    k = rcv_silent(v)
+                    k = rcv_silent(v) if quiet else 0
                     if k > 0:
                         steps += quiet_run(v, k, budget - steps)
                         continue
+                    e = rcv_echo(v) if echoes else NO_VALUE
+                    if e >= 0:
+                        k = snd_silent(e)
+                        if k > 0:
+                            steps += echo_run(v, e, k, budget - steps)
+                            continue
             step()
             steps += 1
         completed = not pending and rm >= goal and snd_ready()
@@ -496,6 +575,7 @@ def run_probabilistic_batch(
         completed=delivered >= n,
         steps=steps_used,
         events_elided=length,
+        dl1_violated_at=dl1_violated_at,
     )
 
 

@@ -64,7 +64,7 @@ ACK = "ACK"
 ORACLE = "oracle"
 CAPACITY = "capacity"
 
-#: ``FloodingReceiver.silent_copies`` of a packet ``on_packet`` ignores.
+#: The ``silent_copies`` of a packet that ``on_packet`` ignores.
 _UNBOUNDED = sys.maxsize
 
 
@@ -164,6 +164,23 @@ class FloodingSender(SenderStation):
             self.current_packet = None
             self._index += 1
 
+    def silent_copies(self, packet: Packet) -> int:
+        # Follows on_packet: a counted ack changes nothing the engine
+        # sees until the (threshold + 1)-th confirms the message, and
+        # everything else is ignored.
+        kind, phase = packet.header
+        if kind != ACK or self._pending is None or phase != self.phase:
+            return _UNBOUNDED
+        return self._ack_threshold - self._acks_received
+
+    def absorb_copies(self, packet: Packet, count: int) -> None:
+        if (
+            count
+            and self._pending is not None
+            and packet.header == (ACK, self.phase)
+        ):
+            self._acks_received += count
+
     def protocol_fields(self) -> Tuple:
         return (
             self._index,
@@ -249,6 +266,19 @@ class FloodingReceiver(ReceiverStation):
         if count and packet.header == (DATA, self.awaited_phase):
             body = packet.body
             self._counts[body] = self._counts.get(body, 0) + count
+
+    def echo_packet(self, packet: Packet) -> Optional[Packet]:
+        # on_packet's re-ack branch: a copy of the accepted message's
+        # phase queues that phase's ack and changes nothing.
+        kind, phase = packet.header
+        if (
+            kind == DATA
+            and self._awaiting > 0
+            and phase != self.awaited_phase
+            and phase == (self._awaiting - 1) % self.phases
+        ):
+            return ack_packet(phase)
+        return None
 
     def _accept(self, body: Hashable) -> None:
         accepted_phase = self.awaited_phase

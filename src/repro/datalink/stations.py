@@ -36,8 +36,16 @@ class creation:
 A protocol overrides the rest: the ``on_*`` hooks,
 ``protocol_fields``/``set_protocol_fields`` and ``ready_for_message``;
 a sender that does not transmit through ``current_packet`` (Go-Back-N,
-the window sender) ``offer_packet``/``commit_packet``; a receiver with
-a silent-receipt lookahead ``silent_copies``/``absorb_copies``.
+the window sender) ``offer_packet``/``commit_packet``.  The bulk
+lookaheads of the batch delivery engine are optional, and each default
+turns its lookahead off:
+
+* the receiver's ``silent_copies``/``absorb_copies``: runs of receipts
+  it absorbs without output;
+* the receiver's ``echo_packet``: the one control packet each
+  back-to-back copy of a packet queues while changing nothing else;
+* the sender's ``silent_copies``/``absorb_copies``: runs of receipts
+  it absorbs without changing what it offers or its readiness.
 """
 
 from __future__ import annotations
@@ -97,10 +105,12 @@ class SenderStation(IOAutomaton):
     it is not ``None`` the station offers it on every poll, modelling a
     retransmission timer that fires whenever the scheduler lets it.
     A sender that transmits otherwise overrides :meth:`offer_packet`
-    and :meth:`commit_packet`; :meth:`on_packet_sent` is optional.
-    Overriding ``handle_input``, ``next_output``, ``perform_output``,
-    ``accept_message``, ``accept_packet``, ``snapshot``, ``restore`` or
-    ``protocol_state`` raises :class:`TypeError`.
+    and :meth:`commit_packet`; :meth:`on_packet_sent` and the
+    silent-receipt lookahead (:meth:`silent_copies` /
+    :meth:`absorb_copies`) are optional.  Overriding ``handle_input``,
+    ``next_output``, ``perform_output``, ``accept_message``,
+    ``accept_packet``, ``snapshot``, ``restore`` or ``protocol_state``
+    raises :class:`TypeError`.
 
     Attributes:
         uses_oracle: set True by protocols that read the channel oracle
@@ -175,6 +185,31 @@ class SenderStation(IOAutomaton):
         self.on_packet(packet)
 
     # ------------------------------------------------------------------
+    # bulk receipt (a lookahead for the batch delivery engine)
+    # ------------------------------------------------------------------
+    def silent_copies(self, packet: Packet) -> int:
+        """How many copies of ``packet``, received back to back from the
+        current state, :meth:`on_packet` would absorb without changing
+        :meth:`offer_packet` or :meth:`ready_for_message` and without
+        reading the channel oracle.
+
+        The count must not be too high: the copy after the last silent
+        one may change either.  Default: 0 (no lookahead).
+        """
+        return 0
+
+    def absorb_copies(self, packet: Packet, count: int) -> None:
+        """The state change of ``count`` back-to-back :meth:`on_packet`
+        calls, for ``count <= silent_copies(packet)``.
+
+        Default: the calls themselves.  An override must leave the same
+        :meth:`protocol_fields` as those calls, and ``count == 0`` must
+        change nothing.
+        """
+        for _ in range(count):
+            self.on_packet(packet)
+
+    # ------------------------------------------------------------------
     # protocol hooks
     # ------------------------------------------------------------------
     def on_send_msg(self, message: Hashable) -> None:
@@ -238,9 +273,10 @@ class ReceiverStation(IOAutomaton):
     message to the higher layer) and/or :meth:`queue_packet` (send a
     control packet back to the sender), and :meth:`protocol_fields` /
     :meth:`set_protocol_fields`.  The base class replays those queues
-    as outputs, deliveries first.  :meth:`on_delivered` and the
+    as outputs, deliveries first.  :meth:`on_delivered`, the
     silent-receipt lookahead (:meth:`silent_copies` /
-    :meth:`absorb_copies`) are optional.  Overriding ``handle_input``,
+    :meth:`absorb_copies`) and the echo lookahead (:meth:`echo_packet`)
+    are optional.  Overriding ``handle_input``,
     ``next_output``, ``perform_output``, ``accept_packet``,
     ``pop_delivery``, ``pop_control_packet``, ``has_pending_output``,
     ``snapshot``, ``restore`` or ``protocol_state`` raises
@@ -342,6 +378,17 @@ class ReceiverStation(IOAutomaton):
         """
         for _ in range(count):
             self.on_packet(packet)
+
+    def echo_packet(self, packet: Packet) -> Optional[Packet]:
+        """The control packet that each copy of ``packet``, received
+        back to back from the current state, makes :meth:`on_packet`
+        queue, or ``None``.
+
+        Such a copy queues that one packet and does nothing else: no
+        delivery, no change to :meth:`protocol_fields` and no read of
+        the channel oracle.  Default: ``None`` (no lookahead).
+        """
+        return None
 
     # ------------------------------------------------------------------
     # protocol hooks

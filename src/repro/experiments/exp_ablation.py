@@ -34,12 +34,15 @@ from repro.core.theorem31 import HeaderExhaustionAttack
 from repro.core.theorem51 import run_probabilistic_delivery
 from repro.datalink.alternating_bit import make_alternating_bit
 from repro.datalink.flooding import make_flooding
-from repro.datalink.spec import SpecSink, SpecViolated, check_execution
+from repro.datalink.spec import check_execution
 from repro.datalink.system import DataLinkSystem, make_system
 from repro.channels.fifo import FifoChannel
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import (
+    ExperimentResult,
+    engine_metrics,
+    resolve_trial_engine,
+)
 from repro.ioa.actions import Direction
-from repro.ioa.execution import TraceMode
 
 EXP_ID = "E6"
 TITLE = "Ablations: phase count, FIFO vs non-FIFO, trickle, TTL"
@@ -50,28 +53,21 @@ def _ablation_phase_count(result: ExperimentResult, fast: bool, seed: int):
         ["K", "headers", "safe", "q=0.3 growth", "base/slope", "total pkts"]
     )
     n = 18 if fast else 30
+    resolved = {}
     for phases in ([1, 2, 3] if fast else [1, 2, 3, 6]):
-        # Safety: run over a lossy probabilistic channel and check DL1.
+        # One run over a lossy probabilistic channel gives the growth
+        # row and, from its (DL1) check, the safety verdict.
+        label = f"K={phases}"
+        resolved[label] = resolve_trial_engine()
         run_result = run_probabilistic_delivery(
             lambda: make_flooding(phases),
             q=0.3,
             n=n,
             seed=seed,
             packet_budget=300_000,
+            engine=resolved[label][0],
         )
-        # The safety verdict reruns the same channel seed with the spec
-        # checked online; the rerun ends at the first violation.
-        spec = SpecSink(stop=True)
-        sender, receiver = make_flooding(phases)
-        system = make_system(
-            sender, receiver, q=0.3, seed=seed,
-            trace_mode=TraceMode.COUNTS, sinks=[spec],
-        )
-        try:
-            system.run(["m"] * n, max_steps=500_000)
-        except SpecViolated:
-            pass
-        safe = spec.report().ok
+        safe = run_result.dl1_violated_at is None
         xs = [float(i) for i in range(1, run_result.delivered + 1)]
         if run_result.delivered >= 3:
             kind, value = classify_growth(
@@ -89,6 +85,7 @@ def _ablation_phase_count(result: ExperimentResult, fast: bool, seed: int):
         else:
             result.checks[f"K={phases} is safe under loss"] = safe
     result.tables.append(table)
+    result.metrics.update(engine_metrics(resolved))
 
 
 def _ablation_fifo(result: ExperimentResult, fast: bool):

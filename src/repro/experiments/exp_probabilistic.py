@@ -139,6 +139,11 @@ def run_shard(
         # TraceMode.COUNTS, so every action is counted but never
         # materialised as an Event.
         "events_elided": flood.events_elided + naive.events_elided,
+        # Runs that violated (DL1): a count, so merge and the
+        # manifest totals add it up like the other numeric metrics.
+        "dl1_violations": sum(
+            run.dl1_violated_at is not None for run in (flood, naive)
+        ),
     }
     for snapshot in (flood_metrics.snapshot(), naive_metrics.snapshot()):
         for key, value in snapshot.items():

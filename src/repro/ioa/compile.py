@@ -24,7 +24,7 @@ committed workload (docs/PERFORMANCE.md §5).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.ioa.actions import Direction
 
@@ -127,7 +127,10 @@ class InterpretedSender:
     ``commit_run(count)`` commits ``count`` transmissions at once; it
     is ``None`` unless a commit provably leaves the protocol state
     alone (stock ``commit_packet`` and the base no-op
-    ``on_packet_sent``).
+    ``on_packet_sent``).  A station that overrides ``silent_copies``
+    also gets ``silent(vid)`` and ``absorb(vid, count)``, its
+    silent-receipt lookahead in value-id space; both are ``None``
+    otherwise.
 
     ``offer`` and ``commit`` are additionally *specialised* when the
     station keeps the base-class ``offer_packet``/``commit_packet``
@@ -140,7 +143,7 @@ class InterpretedSender:
     __slots__ = (
         "station",
         "ready", "accept_message", "accept_packet", "offer", "commit",
-        "commit_run",
+        "commit_run", "silent", "absorb",
     )
 
     def __init__(self, station, values: ValueIntern, oracle=None) -> None:
@@ -219,6 +222,9 @@ class InterpretedSender:
         self.offer = offer
         self.commit = commit
         self.commit_run = commit_run
+        self.silent, self.absorb = _lookahead(
+            station, SenderStation, values
+        )
 
 
 #: Never-equal placeholder for the interpreted kernels' identity memos
@@ -242,13 +248,15 @@ class InterpretedReceiver:
     A station that overrides ``silent_copies`` also gets
     ``silent(vid)`` and ``absorb(vid, count)``: its silent-receipt
     lookahead and bulk receipt in value-id space.  Both are ``None``
-    otherwise.
+    otherwise.  Likewise ``echo(vid)`` is the ``echo_packet``
+    lookahead, the echoed packet's value id or ``NO_VALUE``, when the
+    station overrides ``echo_packet``.
     """
 
     __slots__ = (
         "station", "queues",
         "accept", "pop_delivery", "pop_control",
-        "silent", "absorb",
+        "silent", "absorb", "echo",
     )
 
     def __init__(self, station, values: ValueIntern, oracle=None) -> None:
@@ -301,22 +309,39 @@ class InterpretedReceiver:
                 last_packet_vid = intern(packet)
             return last_packet_vid
 
-        silent: Optional[Callable[[int], int]] = None
-        absorb: Optional[Callable[[int, int], None]] = None
-        if cls.silent_copies is not ReceiverStation.silent_copies:
-            silent_copies = station.silent_copies
-            absorb_copies = station.absorb_copies
+        echo: Optional[Callable[[int], int]] = None
+        if cls.echo_packet is not ReceiverStation.echo_packet:
+            echo_packet = station.echo_packet
 
-            def silent_vid(vid: int) -> int:
-                return silent_copies(vals[vid])
+            def echo_vid(vid: int) -> int:
+                packet = echo_packet(vals[vid])
+                return NO_VALUE if packet is None else intern(packet)
 
-            def absorb_vid(vid: int, count: int) -> None:
-                absorb_copies(vals[vid], count)
-
-            silent, absorb = silent_vid, absorb_vid
+            echo = echo_vid
 
         self.accept = accept
         self.pop_delivery = pop_delivery
         self.pop_control = pop_control
-        self.silent = silent
-        self.absorb = absorb
+        self.silent, self.absorb = _lookahead(
+            station, ReceiverStation, values
+        )
+        self.echo = echo
+
+
+def _lookahead(station, base: type, values: ValueIntern) -> Tuple:
+    """``(silent, absorb)``: a station's ``silent_copies`` and
+    ``absorb_copies`` in value-id space, or ``(None, None)`` when its
+    class keeps ``base``'s ``silent_copies`` (no lookahead)."""
+    if type(station).silent_copies is base.silent_copies:
+        return None, None
+    vals = values.values
+    silent_copies = station.silent_copies
+    absorb_copies = station.absorb_copies
+
+    def silent(vid: int) -> int:
+        return silent_copies(vals[vid])
+
+    def absorb(vid: int, count: int) -> None:
+        absorb_copies(vals[vid], count)
+
+    return silent, absorb

@@ -16,7 +16,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.channels.probabilistic import TricklePolicy
@@ -27,9 +27,11 @@ from repro.core.theorem41 import (
     run_dichotomy,
 )
 from repro.core.theorem51 import run_probabilistic_delivery
+from repro.core import trials
 from repro.core.trials import (
     COIN_BLOCK,
     _TrialChannel,
+    echo_sends,
     probabilistic_batch_refusal,
     pump_batch_refusal,
 )
@@ -41,7 +43,10 @@ from repro.datalink.broken import (
     SwapReceiver,
 )
 from repro.datalink.flooding import (
+    CAPACITY,
     FloodingReceiver,
+    FloodingSender,
+    ack_packet,
     make_capacity_flooding,
     make_flooding,
 )
@@ -221,6 +226,125 @@ def test_quiet_sends_matches_per_coin_loop_property(q, seed, k, limit, drawn):
     assert_quiet_sends_match(q, seed, k, limit, drawn)
 
 
+#: Value ids of the flooded data packet and of its echo in the echo
+#: tests (9 is the value the earlier draws send).
+DATA_VID, ECHO_VID = 1, 2
+
+
+def echo_stations(k):
+    """A capacity-k flooding sender pending on message ``m`` (so it
+    absorbs ``k`` phase-0 acks silently) and a receiver that has
+    accepted it (so each phase-0 copy echoes that ack)."""
+    sender = FloodingSender(3, CAPACITY, k)
+    receiver = FloodingReceiver(3, CAPACITY, 0)
+    sender.on_send_msg("m")
+    receiver.on_packet(sender.offer_packet())
+    receiver.pop_delivery()
+    receiver.pop_control_packet()
+    assert receiver.echo_packet(sender.offer_packet()) == ack_packet(0)
+    assert sender.silent_copies(ack_packet(0)) == k
+    return sender, receiver
+
+
+def per_step_echo_sends(t2r, r2t, sender, receiver, k, limit, peaks):
+    """The echo exchange one step at a time through ``_TrialChannel.send``
+    and the live stations' own transitions: the reference for
+    :func:`echo_sends` plus the kernel's bulk commit and absorb."""
+    packet = sender.offer_packet()
+    peak_t2r, peak_r2t = peaks
+    steps = lucky = absorbed = 0
+    while absorbed < k and steps < limit:
+        steps += 1
+        t2r.send(DATA_VID)
+        sender.commit_packet(packet)
+        peak_t2r = max(peak_t2r, t2r.size)
+        if not t2r.due:
+            continue
+        t2r.due.clear()
+        t2r.deliver(DATA_VID)
+        lucky += 1
+        receiver.on_packet(packet)
+        echo = receiver.pop_control_packet()
+        assert not receiver.has_pending_output()
+        r2t.send(ECHO_VID)
+        peak_r2t = max(peak_r2t, r2t.size)
+        if r2t.due:
+            r2t.due.clear()
+            r2t.deliver(ECHO_VID)
+            absorbed += 1
+            sender.on_packet(echo)
+    return steps, lucky, absorbed, peak_t2r, peak_r2t
+
+
+def assert_echo_sends_match(q, seed, k, limit, drawn):
+    """Twin channel pairs on twin rngs and twin station pairs, ``drawn``
+    ordinary sends first on each channel: the bulk echo run and the
+    per-step loop agree on the result, both pools, both rngs and both
+    stations."""
+    sides = []
+    for _ in range(2):
+        rngs = random.Random(seed), random.Random(seed + 1)
+        t2r, r2t = (_TrialChannel(q, rng) for rng in rngs)
+        for channel in (t2r, r2t):
+            for _ in range(drawn):
+                channel.send(9)
+            channel.due.clear()
+        sides.append((rngs, t2r, r2t, *echo_stations(k)))
+    (rngs, t2r, r2t, sender, receiver) = sides[0]
+    result = echo_sends(t2r, r2t, DATA_VID, ECHO_VID, k, limit, 1, 1)
+    sender.packets_sent += result[0]
+    sender.absorb_copies(ack_packet(0), result[2])
+    (ref_rngs, ref_t2r, ref_r2t, ref_sender, ref_receiver) = sides[1]
+    assert result == per_step_echo_sends(
+        ref_t2r, ref_r2t, ref_sender, ref_receiver, k, limit, (1, 1)
+    )
+    for channel, reference in ((t2r, ref_t2r), (r2t, ref_r2t)):
+        assert (channel.size, channel.sent_total, channel.value_counts) == (
+            reference.size, reference.sent_total, reference.value_counts
+        )
+        assert channel.due == reference.due == []
+    for rng, reference in zip(rngs, ref_rngs):
+        assert rng.getstate() == reference.getstate()
+    assert sender.protocol_state() == ref_sender.protocol_state()
+    assert sender.packets_sent == ref_sender.packets_sent
+    assert receiver.protocol_state() == ref_receiver.protocol_state()
+
+
+@pytest.mark.parametrize("q", QUIET_QS)
+@pytest.mark.parametrize("k", [1, 7, 300])
+@pytest.mark.parametrize("limit", [1, 50, 5_000])
+@pytest.mark.parametrize("drawn", [0, 2])
+def test_echo_sends_matches_per_step_loop(q, k, limit, drawn):
+    assert_echo_sends_match(q, 0, k, limit, drawn)
+
+
+@pytest.mark.parametrize(
+    "q, limit",
+    [(0.0, 3 * COIN_BLOCK), (0.1, 3 * COIN_BLOCK), (0.1, COIN_BLOCK + 100)],
+    ids=["q0-whole-run", "q0.1-whole-run", "q0.1-budget-ends-mid-run"],
+)
+def test_echo_sends_crosses_a_coin_block(q, limit):
+    """k is past COIN_BLOCK, so the first t2r block draws a full
+    COIN_BLOCK of coins and crosses its edge; at q = 0.1 the budget of
+    the last case ends before the k-th echo is absorbed."""
+    assert_echo_sends_match(q, 3, COIN_BLOCK + 3, limit, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.one_of(
+        st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+        st.integers(0, 2**53 - 1).map(lambda x: x / 2**53),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 3_000),
+    limit=st.integers(0, 6_000),
+    drawn=st.integers(0, 2),
+)
+def test_echo_sends_matches_per_step_loop_property(q, seed, k, limit, drawn):
+    assert_echo_sends_match(q, seed, k, limit, drawn)
+
+
 def test_engine_rejects_unknown_name():
     with pytest.raises(ValueError, match="engine"):
         run_probabilistic_delivery(
@@ -338,10 +462,15 @@ def test_every_station_class_is_in_the_matrix():
     q=st.sampled_from([0.0, 0.2, 0.5, 0.8]),
     n=st.integers(min_value=1, max_value=6),
 )
+@example(root=0, q=0.5, n=6)
+@example(root=1, q=0.5, n=4)
 @settings(max_examples=6, deadline=None)
 def test_batch_matches_interpreted_on_every_pair(name, factory, root, q, n):
     """batch == interpreted, field for field, on every station pair --
-    including the broken ones, whose runs stall identically."""
+    including the broken ones, whose runs stall identically.  The
+    fields include ``dl1_violated_at``, which the interpreted tier reads
+    from a ``SpecSink`` and the batch tier from ``rm`` and ``sm``; the
+    q = 0.5 examples run the flooding pairs' echo runs."""
     for i in range(3):
         common = dict(
             q=q, n=n, seed=derive_seed(root, "batch-equiv", f"t{i}"),
@@ -352,6 +481,126 @@ def test_batch_matches_interpreted_on_every_pair(name, factory, root, q, n):
             factory, engine="interpreted", **common
         )
         assert batch == reference
+        assert batch.dl1_violated_at == reference.dl1_violated_at
+
+
+@pytest.mark.parametrize(
+    "factory, violated_at",
+    [
+        (lambda: (SequenceSender(), EagerReceiver()), [7, 21, 7, 8]),
+        (lambda: make_flooding(1), [7, 33, 7, 10]),
+        (lambda: make_flooding(2), [None] * 4),
+    ],
+    ids=["eager", "flooding_k1", "flooding_k2"],
+)
+def test_dl1_verdict_matches_spec_sink(factory, violated_at):
+    """The first (DL1) violation is the event a ``SpecSink`` names on
+    the interpreted tier, on a receiver that delivers duplicates, on
+    the K=1 flooding pair (stale copies forge deliveries) and not on a
+    safe pair."""
+    for seed, expected in enumerate(violated_at):
+        common = dict(q=0.3, n=12, seed=seed, max_steps=3_000)
+        batch = run_probabilistic_delivery(factory, engine="batch", **common)
+        reference = run_probabilistic_delivery(
+            factory, engine="interpreted", **common
+        )
+        assert batch == reference
+        assert batch.dl1_violated_at == expected
+
+
+class _PlainFloodingSender(FloodingSender):
+    """A flooding sender that keeps the base silent-receipt hooks."""
+
+    silent_copies = SenderStation.silent_copies
+    absorb_copies = SenderStation.absorb_copies
+
+
+#: Pairs that keep a base hook the echo run needs: every library pair
+#: but flooding, and a flooding pair whose sender has no lookahead.
+BASE_HOOK_CASES = [
+    case for case in MATRIX_CASES if not case[0].startswith("flooding")
+] + [("flooding_plain_sender", lambda: (_PlainFloodingSender(2),
+                                         FloodingReceiver(2)))]
+
+
+def count_echo_runs(monkeypatch):
+    calls = []
+    run = trials.echo_sends
+
+    def counting(*args):
+        calls.append(args[4])
+        return run(*args)
+
+    monkeypatch.setattr(trials, "echo_sends", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, factory", BASE_HOOK_CASES, ids=[n for n, _ in BASE_HOOK_CASES]
+)
+def test_base_hook_pairs_never_enter_the_echo_run(name, factory, monkeypatch):
+    """The echo run needs all three hooks: the receiver's
+    ``echo_packet``, the sender's ``silent_copies`` and an idle commit.
+    Without them the kernel steps, and matches the interpreted tier."""
+    calls = count_echo_runs(monkeypatch)
+    for seed in range(3):
+        common = dict(q=0.5, n=6, seed=seed, max_steps=3_000)
+        batch = run_probabilistic_delivery(factory, engine="batch", **common)
+        reference = run_probabilistic_delivery(
+            factory, engine="interpreted", **common
+        )
+        assert batch == reference
+    assert calls == []
+
+
+def test_flooding_pair_enters_the_echo_run(monkeypatch):
+    """The positive control: the same flooding pair with its sender's
+    lookahead runs echo runs, and its results do not depend on them."""
+    calls = count_echo_runs(monkeypatch)
+    for seed in range(3):
+        common = dict(q=0.5, n=6, seed=seed, max_steps=3_000, engine="batch")
+        entered = len(calls)
+        plain = run_probabilistic_delivery(
+            lambda: (_PlainFloodingSender(2), FloodingReceiver(2)), **common
+        )
+        assert len(calls) == entered
+        hooked = run_probabilistic_delivery(lambda: make_flooding(2), **common)
+        assert hooked == plain
+    assert calls and max(calls) > 1
+
+
+@pytest.mark.parametrize(
+    "name, factory", MATRIX_CASES, ids=[n for n, _ in MATRIX_CASES]
+)
+def test_kernel_delivers_only_counted_copies(name, factory, monkeypatch):
+    """(PL1) holds by construction: every delivery takes a copy of a
+    value whose in-transit count is positive, and each pool's counts
+    stay non-negative and sum to its size."""
+    channels = []
+    init = _TrialChannel.__init__
+    deliver = _TrialChannel.deliver
+
+    def recording_init(self, *args):
+        init(self, *args)
+        channels.append(self)
+
+    def checked_deliver(self, vid):
+        assert self.value_counts.get(vid, 0) > 0
+        deliver(self, vid)
+
+    monkeypatch.setattr(_TrialChannel, "__init__", recording_init)
+    monkeypatch.setattr(_TrialChannel, "deliver", checked_deliver)
+    for seed in range(3):
+        for q in (0.2, 0.5):
+            channels.clear()
+            run_probabilistic_delivery(
+                factory, q=q, n=6, seed=seed, max_steps=3_000,
+                engine="batch",
+            )
+            assert len(channels) == 2
+            for channel in channels:
+                assert min(channel.value_counts.values(), default=0) >= 0
+                assert channel.size == sum(channel.value_counts.values())
 
 
 def test_batch_honours_packet_budgets_and_messages():

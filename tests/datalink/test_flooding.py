@@ -236,6 +236,10 @@ class _CountingOracle:
         self.reads += 1
         return self.stale
 
+    def transit_count(self, direction, packet):
+        self.reads += 1
+        return self.stale
+
 
 BODIES = ["a", "b", None]
 
@@ -301,3 +305,97 @@ class TestSilentCopies:
             # Exact, not merely safe: the next copy queues output.
             stepped.on_packet(packet)
             assert stepped.has_pending_output()
+
+
+class TestEchoPacket:
+    """``echo_packet`` names the one control packet a copy makes
+    ``on_packet`` queue when it changes nothing else, and is ``None``
+    otherwise: the batch delivery engine runs echo exchanges in bulk on
+    its strength."""
+
+    @given(state=receiver_states, packet=packets)
+    @settings(max_examples=200, deadline=None)
+    def test_echo_matches_on_packet(self, state, packet):
+        receiver = TestSilentCopies.receiver_in(state)
+        fields = receiver.protocol_fields()
+        echo = receiver.echo_packet(packet)
+        for _ in range(2):
+            receiver.on_packet(packet)
+            queued = list(receiver._outgoing)
+            echoes = (
+                len(queued) == 1
+                and not receiver._deliveries
+                and receiver.protocol_fields() == fields
+                and receiver.oracle.reads == 0
+            )
+            assert echo == (queued[0] if echoes else None)
+            if echo is None:
+                break
+            receiver.pop_control_packet()
+
+
+@st.composite
+def sender_states(draw):
+    pending = draw(st.sampled_from(["a", "b", None]))
+    threshold = draw(st.integers(min_value=0, max_value=70))
+    # A pending sender has counted at most ``threshold`` acks.
+    acks = draw(
+        st.integers(
+            min_value=0, max_value=threshold if pending is not None else 75
+        )
+    )
+    return dict(
+        phases=draw(st.integers(min_value=1, max_value=4)),
+        mode=draw(st.sampled_from([ORACLE, CAPACITY])),
+        capacity=draw(st.integers(min_value=0, max_value=6)),
+        index=draw(st.integers(min_value=0, max_value=9)),
+        pending=pending,
+        threshold=threshold,
+        acks=acks,
+    )
+
+
+class TestSenderSilentCopies:
+    """The sender's ``silent_copies``/``absorb_copies`` are an exact
+    lookahead of ``on_packet``: the absorbed acks change neither the
+    offered packet nor the sender's readiness."""
+
+    @staticmethod
+    def sender_in(state):
+        sender = FloodingSender(
+            state["phases"], state["mode"], state["capacity"]
+        )
+        sender.oracle = _CountingOracle(0)
+        sender.set_protocol_fields(
+            (state["index"], state["pending"], state["threshold"],
+             state["acks"])
+        )
+        if state["pending"] is not None:
+            sender.current_packet = data_packet(sender.phase, state["pending"])
+        return sender
+
+    @given(state=sender_states(), packet=packets)
+    @settings(max_examples=200, deadline=None)
+    def test_absorb_matches_repeated_on_packet(self, state, packet):
+        stepped = self.sender_in(state)
+        seen = (stepped.offer_packet(), stepped.ready_for_message())
+        silent = stepped.silent_copies(packet)
+        assert silent >= 0
+        bound = min(silent, 64)
+        # j = 0 included: absorbing no copies changes nothing.
+        for j in range(bound + 1):
+            absorbed = self.sender_in(state)
+            absorbed.absorb_copies(packet, j)
+            assert absorbed.protocol_fields() == stepped.protocol_fields()
+            assert (stepped.offer_packet(), stepped.ready_for_message()) == seen
+            assert (
+                absorbed.offer_packet(), absorbed.ready_for_message()
+            ) == seen
+            assert absorbed.oracle.reads == stepped.oracle.reads == 0
+            if j < bound:
+                stepped.on_packet(packet)
+        if silent == bound:
+            # Exact, not merely safe: the next copy confirms the message.
+            stepped.on_packet(packet)
+            assert stepped.ready_for_message()
+            assert stepped.offer_packet() is None

@@ -195,11 +195,16 @@ class TestFixedPlumbing:
             type("Custom", (Mixin, ReceiverStation), {})
 
     @pytest.mark.parametrize(
-        "name", ["offer_packet", "commit_packet", "on_packet_sent"]
+        "name",
+        [
+            "offer_packet", "commit_packet", "on_packet_sent",
+            "silent_copies", "absorb_copies",
+        ],
     )
     def test_sender_hooks_stay_overridable(self, name):
         assert issubclass(_subclass(SenderStation, name), SenderStation)
 
     def test_receiver_lookahead_stays_overridable(self):
-        cls = _subclass(ReceiverStation, "silent_copies")
-        assert issubclass(cls, ReceiverStation)
+        for name in ("silent_copies", "absorb_copies", "echo_packet"):
+            cls = _subclass(ReceiverStation, name)
+            assert issubclass(cls, ReceiverStation)

@@ -1,62 +1,59 @@
-"""E6(a)'s two runs per phase count K.
+"""E6(a)'s one run per phase count K.
 
 The delivery run must resolve to the batch tier: attaching an observer
 it cannot reconstruct would drop it to the interpreted tier, several
 times slower.  On that tier, the K=1 run must absorb its runs of
-silent receipts in bulk.  The safety verdict is a second,
-counters-only run with the spec checked online, and for K=1 it must
-end at the first violation.
+silent receipts in bulk.  The safety verdict is the run's own (DL1)
+check, so no second, interpreted system is built.
 """
 
 import pytest
 
-from repro.core import trials
-from repro.core.theorem51 import ProbabilisticRunResult
+from repro.core import theorem51, trials
 from repro.datalink.flooding import FloodingReceiver
-from repro.datalink.spec import SpecSink
 from repro.experiments import exp_ablation
 from repro.experiments.base import ExperimentResult
-from repro.ioa.execution import TraceMode
+
+
+#: ``(seed, event)``: the event of the K=1 run's first (DL1) violation.
+#: At seed 0 a stale copy forges the second delivery (rm 2 > sm 1).
+K1_VIOLATIONS = [(0, 7), (3, 10), (5, 25)]
 
 
 @pytest.mark.parametrize("fast", [True, False], ids=["fast", "full"])
 def test_phase_count_runs(fast, monkeypatch):
-    batch_phases = []
+    runs = {}
+    run_batch = trials.run_probabilistic_batch
 
-    def batch_stub(pair_factory, q, n, seed=0, **kwargs):
-        sender, _ = pair_factory()
-        batch_phases.append(sender.phases)
-        return ProbabilisticRunResult(q=q, n=n, delivered=0, seed=seed)
+    def recording_batch(pair_factory, *args, **kwargs):
+        phases = pair_factory()[0].phases
+        runs[phases] = run_batch(pair_factory, *args, **kwargs)
+        return runs[phases]
 
-    monkeypatch.setattr(trials, "run_probabilistic_batch", batch_stub)
-    verdict_systems = []
-    make_system = exp_ablation.make_system
+    def no_system(*args, **kwargs):
+        raise AssertionError("E6(a) builds no interpreted system")
 
-    def recording_make_system(*args, **kwargs):
-        system = make_system(*args, **kwargs)
-        verdict_systems.append(system)
-        return system
-
-    monkeypatch.setattr(exp_ablation, "make_system", recording_make_system)
-
-    result = ExperimentResult(exp_id=exp_ablation.EXP_ID, title="E6(a)")
-    exp_ablation._ablation_phase_count(result, fast, seed=0)
+    monkeypatch.setattr(trials, "run_probabilistic_batch", recording_batch)
+    monkeypatch.setattr(exp_ablation, "make_system", no_system)
+    monkeypatch.setattr(theorem51, "make_system", no_system)
 
     phases = [1, 2, 3] if fast else [1, 2, 3, 6]
-    assert batch_phases == phases
-    assert len(verdict_systems) == len(phases)
-    sinks = []
-    for system in verdict_systems:
-        execution = system.execution
-        assert execution.trace_mode is TraceMode.COUNTS
-        (sink,) = [s for s in execution.sinks if isinstance(s, SpecSink)]
-        sinks.append(sink)
-    assert [
-        (v.property_name, v.event_index) for v in sinks[0].report().violations
-    ] == [("DL1", 7), ("DL1/DL2", 7)]
-    assert len(verdict_systems[0].execution) == 8
-    assert all(sink.report().ok for sink in sinks[1:])
-    assert all(result.checks.values()), result.checks
+    for seed, violated_at in K1_VIOLATIONS:
+        runs.clear()
+        result = ExperimentResult(exp_id=exp_ablation.EXP_ID, title="E6(a)")
+        exp_ablation._ablation_phase_count(result, fast, seed=seed)
+
+        assert list(runs) == phases
+        assert runs[1].dl1_violated_at == violated_at
+        assert all(runs[k].dl1_violated_at is None for k in phases[1:])
+        (table,) = result.tables
+        assert [row[2] for row in table.rows] == [
+            "yes" if k > 1 else "no" for k in phases
+        ]
+        assert result.metrics == {
+            "engine": ",".join(f"K={k}=batch" for k in phases)
+        }
+        assert all(result.checks.values()), result.checks
 
 
 def test_k1_delivery_run_absorbs_silent_receipts(monkeypatch):

@@ -319,7 +319,7 @@ def test_kernel_matches_station(name, factory, seed, steps):
 
 @pytest.mark.parametrize("name, factory", CASES, ids=CASE_IDS)
 def test_bulk_hooks_follow_the_gate(name, factory):
-    """Only ``FloodingReceiver`` kernels get the silent-run hooks, and
+    """Only flooding kernels get the silent-run and echo hooks, and
     ``commit_run`` exists only where a commit cannot change the
     sender's state."""
     sender, receiver = factory()
@@ -327,10 +327,16 @@ def test_bulk_hooks_follow_the_gate(name, factory):
     skern = InterpretedSender(sender, values)
     rkern = InterpretedReceiver(receiver, values)
     assert (rkern.silent is None) == (rkern.absorb is None)
-    if rkern.silent is not None:
+    assert (skern.silent is None) == (skern.absorb is None)
+    if rkern.silent is not None or rkern.echo is not None:
         assert type(receiver) is FloodingReceiver
+    if skern.silent is not None:
+        assert type(sender) is FloodingSender
     if name in ("flooding_oracle", "flooding_capacity"):
-        hooks = (rkern.silent, rkern.absorb, skern.commit_run)
+        hooks = (
+            rkern.silent, rkern.absorb, rkern.echo,
+            skern.silent, skern.absorb, skern.commit_run,
+        )
         assert all(hook is not None for hook in hooks)
     if name in ("gobackn", "window", "forgetful"):
         # Go-Back-N and the window sender override commit_packet;

@@ -118,6 +118,9 @@ def test_probabilistic_shard_records_the_tier_that_ran(monkeypatch):
     )
     assert forced["flood"] == auto["flood"]
     assert forced["naive"] == auto["naive"]
+    # Both tiers check (DL1) on both runs, and both protocols keep it.
+    assert auto["metrics"]["dl1_violations"] == 0
+    assert forced["metrics"]["dl1_violations"] == 0
 
 
 @pytest.mark.parametrize("shard", exp_backlog.shards(True),
